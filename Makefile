@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint-imports race bench bench-json smoke-service verify
+.PHONY: build test vet lint-imports race bench bench-json bench-e2e bench-compare smoke-service verify
 
 build:
 	$(GO) build ./...
@@ -46,35 +46,28 @@ lint-imports:
 		echo "$$bad"; exit 1; \
 	fi
 
-# The concurrency gate: the sharded map service and the core pipelines
-# under the race detector (the shard tests drive >= 4 producers). nav
-# runs twice: missions are deterministic under the virtual clock, so
-# repeated identical runs are the flake tripwire — any divergence or
-# second-run failure is a real regression, not host load. The third line
-# gates compaction: the arena rebuild racing inserts, queries, and Close
-# at every layer (octree, engine, sharded map, public API), twice. The
-# fourth line gates the grid backend: the brick-grid unit/differential
-# suite plus the full backend × mode × shard consistency matrix, whose
-# ModeParallel/grid cells drive the async applier against a grid store.
-# The next two lines gate the bounded-memory window: the durable store's
-# crash/truncation/rewrite suite, then the windowed consistency matrix
-# (whole-scene differential, traverse memory bound, sharded Open
-# round-trip) with ModeParallel cells racing eviction against the
-# async applier. The last line is the durability crash matrix: WAL +
-# snapshot recovery cut at batch boundaries and arbitrary byte offsets
-# across backend × mode × shards, with background snapshot writers
-# racing inserts in the SnapshotEvery cells. The final line gates the
-# trace modes: the boundary-vs-DDA differential suite (including the
-# parallel marking pass OR-ing into shared bit planes and the fan
-# tracer's worker goroutines) plus the map-level trace-mode consistency
-# matrix, twice — trace output is deterministic by construction, so any
-# second-run divergence is a real race, not noise.
-# The final line gates the network layer: the frame codec, the
-# multi-tenant server, and the client library at -count=2 — the e2e
-# test multiplexes concurrent producers, queriers, and a snapshot
-# download per tenant and then demands the downloaded bytes match
-# Map.WriteTo bit for bit, so any wire-level race shows up as a
-# divergence even when the race detector misses it.
+# The concurrency gate, one line per row. nav, trace and wire rows run
+# -count=2: their output is deterministic by construction, so a second-
+# run divergence is a real race, never host load.
+#
+# gate          packages                          why
+# ------------  --------------------------------  ---------------------------------------
+# router+engine shard, core                       >= 4 producers vs live queriers; async
+#                                                 applier hand-off under a tiny ring
+# determinism   nav, clock, spsc (x2)             virtual-clock missions must repeat
+# compaction    -run Compact: octree, core,       arena rebuild racing inserts, queries
+#               shard, root (x2)                  and Close at every layer
+# grid backend  vdbgrid; root -run Backend|...    brick grid under the async applier;
+#                                                 backend x mode x shards matrix
+# durable store durable                           crash / truncation / rewrite suite
+# window        -run Window|Recenter: core, root  eviction racing the async applier
+# durability    -run Durable|Recover: core, root  WAL + snapshot crash matrix, background
+#                                                 snapshot writers racing inserts,
+#                                                 constructor-failure unwinding
+# trace modes   -run Trace|Boundary|Fan:          parallel marking into shared bit planes,
+#               raytrace, core, root (x2)         fan tracer workers, map-level matrix
+# network       wire, server, client (x2)         e2e producers + queriers + snapshot
+#                                                 download must match WriteTo bit for bit
 race:
 	$(GO) test -race ./internal/shard/... ./internal/core/...
 	$(GO) test -race -count=2 ./internal/nav/... ./internal/clock/... ./internal/spsc/...
@@ -95,6 +88,19 @@ bench:
 BENCHTIME ?= 1s
 bench-json:
 	$(GO) run ./cmd/benchjson -benchtime $(BENCHTIME) -o BENCH_core.json
+
+# End-to-end benchmark (benchmark/, declared by BENCHMARK.json): ten
+# runs of all four workloads, median and quartiles per metric, every run
+# kept in E2E_OUT. About 18 minutes on two cores.
+E2E_OUT ?= benchmark/out/e2e.json
+bench-e2e:
+	$(GO) run ./benchmark -repeat 10 -out $(E2E_OUT)
+
+# Verdict per workload x metric between two bench-e2e result files,
+# against BENCHMARK.json's bounds; non-zero exit on a regression.
+#   make bench-compare OLD=before.json NEW=after.json
+bench-compare:
+	$(GO) run ./benchmark -compare $(OLD) $(NEW)
 
 # End-to-end service smoke: loopback server, wire-protocol ingest, and
 # a bit-identical diff of the streamed snapshot against an offline

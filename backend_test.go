@@ -20,8 +20,9 @@ func TestBackendMatrixConsistency(t *testing.T) {
 	ref := MustNew(Options{Resolution: 0.1, Mode: ModeSerial, CacheBuckets: 1 << 10})
 
 	type entry struct {
-		name string
-		m    *Map
+		name   string
+		shards int
+		m      *Map
 	}
 	var maps []entry
 	for _, backend := range []Backend{BackendOctree, BackendGrid} {
@@ -32,8 +33,9 @@ func TestBackendMatrixConsistency(t *testing.T) {
 					Backend: backend, CacheBuckets: 1 << 10,
 				}
 				maps = append(maps, entry{
-					name: fmt.Sprintf("%v/mode=%d/shards=%d", backend, mode, shards),
-					m:    MustNew(opts),
+					name:   fmt.Sprintf("%v/mode=%d/shards=%d", backend, mode, shards),
+					shards: shards,
+					m:      MustNew(opts),
 				})
 			}
 		}
@@ -80,6 +82,24 @@ func TestBackendMatrixConsistency(t *testing.T) {
 						batch, e.name, dir, hg, okg, hw, okw)
 				}
 			}
+		}
+	}
+
+	// Stats parity: one router serves every shard count, counting scans
+	// at the engine for the single-driver map and at the router for the
+	// rest. Each cell must report the ingest its Shards 0 sibling (the
+	// entry that opens its backend × mode group) reports.
+	var single PipelineStats
+	for _, e := range maps {
+		got := e.m.Stats().Pipeline
+		if e.shards == 0 {
+			single = got
+			if got.Batches != 4 || got.VoxelsTraced == 0 {
+				t.Errorf("%s: Stats().Pipeline = %+v after 4 scans", e.name, got)
+			}
+		}
+		if got.Batches != single.Batches || got.VoxelsTraced != single.VoxelsTraced {
+			t.Errorf("%s: Stats().Pipeline = %+v, Shards 0 sibling reports %+v", e.name, got, single)
 		}
 	}
 

@@ -117,8 +117,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mapbuilder:", err)
 		os.Exit(1)
 	}
-	if d, ok := m.(core.Durabler); ok && cfg.Durable.Enabled() {
-		if ds := d.DurableStats(); ds.ReplayedBatches > 0 || ds.LastSnapshotSeq > 0 {
+	// The window and durability reports live on the concrete engine; the
+	// two comparison baselines support neither policy.
+	eng, _ := m.(*core.Engine)
+	if eng != nil && cfg.Durable.Enabled() {
+		if ds := eng.DurableStats(); ds.ReplayedBatches > 0 || ds.LastSnapshotSeq > 0 {
 			fmt.Printf("recovered durable map from %s: replayed %d WAL batches over snapshot cut %d\n",
 				*durDir, ds.ReplayedBatches, ds.LastSnapshotSeq)
 		} else {
@@ -149,22 +152,20 @@ func main() {
 		fmt.Printf("cache: %.1f%% hit rate (%d hits / %d inserts), %d evicted\n",
 			100*cs.HitRate(), cs.Hits, cs.Inserts, cs.Evicted)
 	}
-	if w, ok := m.(core.Windower); ok {
-		if ws := w.WindowStats(); ws.Enabled {
+	if eng != nil {
+		if ws := eng.WindowStats(); ws.Enabled {
 			fmt.Printf("window: %d tiles resident, %d spilled (%.1f MB on disk), %d evictions, %d reloads, max pause %v\n",
 				ws.ResidentTiles, ws.SpilledTiles, float64(ws.BytesOnDisk)/(1<<20),
 				ws.Evictions, ws.Reloads, ws.MaxPause)
 		}
-	}
-	if d, ok := m.(core.Durabler); ok {
-		if ds := d.DurableStats(); ds.Enabled {
+		if ds := eng.DurableStats(); ds.Enabled {
 			fmt.Printf("durable: %d WAL batches logged (%.1f MB on disk), %d snapshots, durable through seq %d\n",
 				ds.WALBatches, float64(ds.BytesOnDisk)/(1<<20), ds.Snapshots, ds.Seq)
 		}
 	}
 	snap := m.Snapshot()
 	fmt.Printf("map (%s backend): %d nodes, %d leaves, ~%.1f MB\n",
-		m.Backend(), snap.NumNodes(), snap.NumLeaves(), float64(snap.MemoryBytes())/(1<<20))
+		cfg.Backend, snap.NumNodes(), snap.NumLeaves(), float64(snap.MemoryBytes())/(1<<20))
 
 	if *out != "" {
 		f, err := os.Create(*out)

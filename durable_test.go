@@ -8,7 +8,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 )
 
 // durableScans builds n small deterministic scans around a fixed origin.
@@ -441,5 +444,144 @@ func TestDurableStickyError(t *testing.T) {
 	}
 	if occ, known := m.Occupancy(probe); occ != occBefore || known != knownBefore {
 		t.Error("map stopped answering queries after durable failure")
+	}
+}
+
+// openFilesUnder counts this process's open descriptors on files under
+// dir, or -1 where /proc/self/fd is unavailable.
+func openFilesUnder(dir string) int {
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	n := 0
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && strings.HasPrefix(target, dir) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestRecoverOpenFailuresReleaseEverything drives the three constructor
+// error paths that used to leak — a later shard failing in shard.New, a
+// recovery failing after the engine opened its log, and Open failing
+// after the map was built — and demands that each returns with no
+// descriptor left open under the directory (the per-engine logs) and no
+// new goroutine (the ModeParallel appliers), then that the same
+// directory opens cleanly once the cause is removed.
+func TestRecoverOpenFailuresReleaseEverything(t *testing.T) {
+	if openFilesUnder(os.TempDir()) < 0 {
+		t.Skip("no /proc/self/fd: cannot observe leaked descriptors")
+	}
+	origin, scans := durableScans(3, 60)
+	want := prefixReference(t, origin, scans, 3)
+	// image returns a cleanly closed durable map's directory, copied so
+	// this process holds nothing open under it.
+	image := func(t *testing.T, opts Options) string {
+		t.Helper()
+		opts.Durable = Durable{Dir: t.TempDir()}
+		m := MustNew(opts)
+		for _, pts := range scans {
+			if err := m.Insert(origin, pts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.Close()
+		return copyDurableDir(t, opts.Durable.Dir)
+	}
+	single := Options{Resolution: 0.1, CacheBuckets: 1 << 10}
+	sharded := Options{Resolution: 0.1, Shards: 4, CacheBuckets: 1 << 10}
+
+	for _, tc := range []struct {
+		name string
+		// setup prepares dir so that fail's constructor errors, and
+		// returns the repair after which reopen must succeed.
+		setup  func(t *testing.T) (dir string, repair func())
+		fail   func(dir string) (*Map, error)
+		reopen func(dir string) (*Map, error)
+	}{
+		{
+			name: "shard.New/later-shard-fails",
+			setup: func(t *testing.T) (string, func()) {
+				dir := image(t, sharded)
+				log := filepath.Join(dir, "shard-003.log")
+				good, err := os.ReadFile(log)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(log, []byte("not an octocache log"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return dir, func() { os.WriteFile(log, good, 0o644) }
+			},
+			fail:   func(dir string) (*Map, error) { return Recover(dir, sharded) },
+			reopen: func(dir string) (*Map, error) { return Recover(dir, sharded) },
+		},
+		{
+			name:  "newEngine/recovery-fails-after-open",
+			setup: func(t *testing.T) (string, func()) { return image(t, single), func() {} },
+			fail: func(dir string) (*Map, error) {
+				// The snapshot on disk was cut at 0.1 m: loading it into a
+				// 0.2 m engine fails once the log is already open.
+				wrong := single
+				wrong.Resolution = 0.2
+				return Recover(dir, wrong)
+			},
+			reopen: func(dir string) (*Map, error) { return Recover(dir, single) },
+		},
+		{
+			name: "Open/checkpoint-fails-after-build",
+			setup: func(t *testing.T) (string, func()) {
+				// Open's first checkpoint writes map.snap.tmp; a directory
+				// squatting on the name fails it.
+				dir := t.TempDir()
+				block := filepath.Join(dir, "map.snap.tmp")
+				if err := os.MkdirAll(filepath.Join(block, "x"), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				return dir, func() { os.RemoveAll(block) }
+			},
+			fail: func(dir string) (*Map, error) {
+				opts := single
+				opts.Durable = Durable{Dir: dir}
+				return Open(bytes.NewReader(want), opts)
+			},
+			reopen: func(dir string) (*Map, error) {
+				opts := single
+				opts.Durable = Durable{Dir: dir}
+				return Open(bytes.NewReader(want), opts)
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir, repair := tc.setup(t)
+			goroutines := runtime.NumGoroutine()
+			if m, err := tc.fail(dir); err == nil {
+				m.Close()
+				t.Fatal("sabotaged constructor succeeded; the test exercises nothing")
+			}
+			if n := openFilesUnder(dir); n > 0 {
+				t.Errorf("failed constructor left %d file(s) open under %s", n, dir)
+			}
+			// Stopped appliers exit asynchronously once their channel
+			// closes; a leaked one never does.
+			for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > goroutines && time.Now().Before(deadline); {
+				time.Sleep(5 * time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > goroutines {
+				t.Errorf("failed constructor left %d goroutine(s) running", n-goroutines)
+			}
+
+			repair()
+			m, err := tc.reopen(dir)
+			if err != nil {
+				t.Fatalf("same directory after repair: %v", err)
+			}
+			defer m.Close()
+			if got := mapBytes(t, m); !bytes.Equal(got, want) {
+				t.Errorf("reopened map serializes %d bytes, want the reference's %d", len(got), len(want))
+			}
+		})
 	}
 }

@@ -189,7 +189,10 @@ func runAblArena(opt Options) ([]*Table, error) {
 		for _, kind := range []core.Kind{core.KindOctoMap, core.KindSerial} {
 			opt.logf("abl-arena: %s/%v", name, kind)
 			cfg := constructionConfig(ds, res, false, opt)
-			m := core.MustNew(kind, cfg)
+			m, err := core.NewEngine(kind, cfg)
+			if err != nil {
+				return nil, err
+			}
 			start := time.Now()
 			for _, s := range ds.Scans {
 				m.Insert(s.Origin, s.Points)

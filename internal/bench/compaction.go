@@ -39,7 +39,10 @@ func runAblCompact(opt Options) ([]*Table, error) {
 		opt.logf("abl-compact: %s", name)
 		res := referenceResolution(name)
 		cfg := constructionConfig(ds, res, false, opt)
-		m := core.MustNew(core.KindSerial, cfg)
+		m, err := core.NewEngine(core.KindSerial, cfg)
+		if err != nil {
+			return nil, err
+		}
 		// First pass builds the map; the repeats are the prune-heavy
 		// phase: re-observation saturates free space and collapses
 		// octants into the free lists.

@@ -18,27 +18,54 @@ import (
 // related-work matrix (Table 1) that OctoCache is compared against
 // conceptually:
 //
-//   - voxelCacheMapper ("VoxelCache [29]"): an index removes the
-//     downward octree search, but updates still maintain ancestors and
-//     queries still wait for the whole batch — the bottleneck survives.
-//   - naiveMapper ("naive software parallelization"): voxel updates are
-//     fanned out over worker goroutines with the octree behind a global
+//   - indexedStore ("VoxelCache [29]"): an index removes the downward
+//     octree search, but updates still maintain ancestors and queries
+//     still wait for the whole batch — the bottleneck survives.
+//   - lockedStore ("naive software parallelization"): voxel updates are
+//     fanned out over worker goroutines with the store behind a global
 //     mutex (the only safe naive scheme, since concurrent updates race on
 //     shared ancestors — §2.2/Figure 5); parallelism buys nothing.
+//
+// They exist for comparison only: one baselineMapper drives either store
+// through the narrow Mapper surface, with no cache, applier, window or
+// durability.
 
-// voxelCacheMapper is the VoxelCache-style baseline built on
-// octree.IndexedTree.
-type voxelCacheMapper struct {
-	cfg        Config
-	tree       *octree.IndexedTree
-	shadow     *octree.Tree // kept pruned for Snapshot consumers
-	tracer     raytrace.Scanner
-	timings    Timings
-	compaction CompactionStats
-	done       bool
+// baselineStore is what differs between the two baselines: how a traced
+// batch reaches the structure and how the structure is read back.
+type baselineStore interface {
+	update(batch []raytrace.Voxel)
+	lookup(k voxel.Key) (logOdds float32, known bool)
+	walk(fn func(voxel.Leaf) bool)
+	NodeVisits() int64
+	MemoryBytes() int64
 }
 
-func newVoxelCache(cfg Config) (*voxelCacheMapper, error) {
+// baselineMapper is the one pipeline both baselines share: trace, update
+// the whole batch, then answer queries straight from the store.
+type baselineMapper struct {
+	cfg     Config
+	name    string
+	store   baselineStore
+	tracer  raytrace.Scanner
+	timings Timings
+	done    bool
+}
+
+func newBaseline(kind Kind, cfg Config) (*baselineMapper, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if cfg.Window.Enabled() {
+		return nil, fmt.Errorf("core: pipeline %v does not support a bounded-memory window", kind)
+	}
+	if cfg.Durable.Enabled() {
+		return nil, fmt.Errorf("core: pipeline %v does not support durability", kind)
+	}
+	m := &baselineMapper{cfg: cfg, name: kind.String(), tracer: cfg.NewScanner()}
+	if kind == KindNaive {
+		m.store = &lockedStore{store: cfg.newBackend(), workers: runtime.GOMAXPROCS(0)}
+		return m, nil
+	}
 	if cfg.Backend != BackendOctree {
 		return nil, fmt.Errorf("core: the VoxelCache baseline is octree-specific; backend %v is unsupported", cfg.Backend)
 	}
@@ -46,22 +73,18 @@ func newVoxelCache(cfg Config) (*voxelCacheMapper, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &voxelCacheMapper{
-		cfg:    cfg,
-		tree:   it,
-		shadow: octree.New(cfg.Octree),
-		tracer: cfg.newScanner(),
-	}, nil
+	m.store = indexedStore{it}
+	return m, nil
 }
 
-func (m *voxelCacheMapper) Name() string {
+func (m *baselineMapper) Name() string {
 	if m.cfg.RT {
-		return "voxelcache-rt"
+		return m.name + "-rt"
 	}
-	return "voxelcache"
+	return m.name
 }
 
-func (m *voxelCacheMapper) Insert(origin geom.Vec3, points []geom.Vec3) error {
+func (m *baselineMapper) Insert(origin geom.Vec3, points []geom.Vec3) error {
 	if m.done {
 		return ErrClosed
 	}
@@ -69,9 +92,7 @@ func (m *voxelCacheMapper) Insert(origin geom.Vec3, points []geom.Vec3) error {
 	batch := traceScan(m.tracer, m.cfg.RT, origin, points, &m.timings)
 
 	t0 := time.Now()
-	for _, v := range batch {
-		m.tree.Update(v.Key, v.Occupied)
-	}
+	m.store.update(batch)
 	m.timings.OctreeUpdate += time.Since(t0)
 
 	m.timings.Batches++
@@ -81,145 +102,90 @@ func (m *voxelCacheMapper) Insert(origin geom.Vec3, points []geom.Vec3) error {
 	return nil
 }
 
-func (m *voxelCacheMapper) Occupancy(p geom.Vec3) (float32, bool) {
-	k, ok := octree.CoordToKey(p, m.cfg.Octree.Resolution, m.cfg.Octree.Depth)
+func (m *baselineMapper) Occupancy(p geom.Vec3) (float32, bool) {
+	k, ok := voxel.CoordToKey(p, m.cfg.Octree.Resolution, m.cfg.Octree.Depth)
 	if !ok {
 		return 0, false
 	}
-	return m.tree.Search(k)
+	return m.store.lookup(k)
 }
 
-func (m *voxelCacheMapper) Occupied(p geom.Vec3) bool {
+func (m *baselineMapper) Occupied(p geom.Vec3) bool {
 	l, known := m.Occupancy(p)
 	return known && l >= m.cfg.Octree.OccupancyThreshold
 }
 
-func (m *voxelCacheMapper) OccupiedKey(k voxel.Key) bool { return m.tree.Occupied(k) }
-
-// Close mirrors the indexed tree's content into a standard pruned
-// octree so Snapshot consumers (serialization, box queries) work.
-func (m *voxelCacheMapper) Close() error {
-	if m.done {
-		return nil
-	}
-	m.done = true
-	// The index holds every known leaf; replay the accumulated values.
-	for k := range m.indexKeys() {
-		if l, known := m.tree.Search(k); known {
-			m.shadow.SetNodeValue(k, l)
-		}
-	}
-	return nil
+func (m *baselineMapper) CastRay(origin, dir geom.Vec3, maxRange float64, ignoreUnknown bool) (geom.Vec3, bool) {
+	return CastRayKeys(m.cfg.Octree, m.store.lookup, origin, dir, maxRange, ignoreUnknown)
 }
 
-// indexKeys iterates the known voxel set (via tree search on batch keys
-// is unavailable; IndexedTree exposes no iterator, so walk the key space
-// through its index by reconstructing from shadow needs). To keep the
-// baseline honest and simple, IndexedTree records are mirrored lazily:
-// this helper exists as a seam for Close.
-func (m *voxelCacheMapper) indexKeys() map[voxel.Key]struct{} {
-	return m.tree.Keys()
-}
-
-// Backend reports the backing store kind; the VoxelCache baseline is
-// octree-specific by construction.
-func (m *voxelCacheMapper) Backend() BackendKind { return BackendOctree }
-
-// Snapshot captures the mirrored shadow octree. The mirror fills on
-// Close — snapshot a live VoxelCache
-// baseline and it is empty.
-func (m *voxelCacheMapper) Snapshot() *Snapshot {
+// Snapshot rebuilds the canonical pruned form from the store's leaves,
+// so it answers like the live baseline at any point in the stream
+// (neither baseline parks state outside its store).
+func (m *baselineMapper) Snapshot() *Snapshot {
 	s := NewSnapshot(m.cfg.Octree)
-	m.shadow.Walk(func(l voxel.Leaf) bool {
+	m.store.walk(func(l voxel.Leaf) bool {
 		s.Add(l)
 		return true
 	})
 	return s
 }
 
-func (m *voxelCacheMapper) WriteTo(w io.Writer) (int64, error) { return m.shadow.WriteTo(w) }
+func (m *baselineMapper) WriteTo(w io.Writer) (int64, error) { return m.Snapshot().WriteTo(w) }
 
-func (m *voxelCacheMapper) ArenaStats() ArenaStats { return TreeArenaStats(m.shadow) }
+func (m *baselineMapper) Close() error            { m.done = true; return nil }
+func (m *baselineMapper) Resolution() float64     { return m.cfg.Octree.Resolution }
+func (m *baselineMapper) Timings() Timings        { return m.timings }
+func (m *baselineMapper) WorkCounters() Counters  { return m.timings.Counters() }
+func (m *baselineMapper) CacheStats() cache.Stats { return cache.Stats{} }
+func (m *baselineMapper) NodeVisits() int64       { return m.store.NodeVisits() }
+func (m *baselineMapper) MemoryBytes() int64      { return m.store.MemoryBytes() }
 
-func (m *voxelCacheMapper) NodeVisits() int64 { return m.tree.NodeVisits() }
+// indexedStore is the VoxelCache-style structure: octree.IndexedTree
+// keeps an O(1) voxel index over an unpruned tree, whose footprint is
+// what the Table 1 experiment reports.
+type indexedStore struct{ *octree.IndexedTree }
 
-// Compact rebuilds the shadow octree's arenas. The indexed structure
-// itself has no free lists to reclaim, so this only densifies whatever
-// has been mirrored for Snapshot consumers.
-func (m *voxelCacheMapper) Compact() error {
-	if m.done {
-		return ErrClosed
+func (s indexedStore) update(batch []raytrace.Voxel) {
+	for _, v := range batch {
+		s.Update(v.Key, v.Occupied)
 	}
-	t0 := time.Now()
-	cs := m.shadow.Compact()
-	m.compaction.Runs++
-	m.compaction.SlotsReclaimed += int64(cs.NodeSlotsReclaimed + cs.KidSlotsReclaimed)
-	m.compaction.LastDuration = time.Since(t0)
-	return nil
 }
 
-func (m *voxelCacheMapper) CompactionStats() CompactionStats { return m.compaction }
+func (s indexedStore) lookup(k voxel.Key) (float32, bool) { return s.Search(k) }
 
-func (m *voxelCacheMapper) Resolution() float64     { return m.cfg.Octree.Resolution }
-func (m *voxelCacheMapper) Timings() Timings        { return m.timings }
-func (m *voxelCacheMapper) WorkCounters() Counters  { return m.timings.Counters() }
-func (m *voxelCacheMapper) CacheStats() cache.Stats { return cache.Stats{} }
+// walk emits every indexed voxel as a finest-depth leaf (the indexed
+// tree never prunes), in map order — consumers replay, not stream.
+func (s indexedStore) walk(fn func(voxel.Leaf) bool) {
+	depth := s.Params().Depth
+	for k := range s.Keys() {
+		if l, known := s.Search(k); known && !fn(voxel.Leaf{Key: k, Depth: depth, LogOdds: l}) {
+			return
+		}
+	}
+}
 
-// MemoryBytes exposes the indexed structure's footprint for the Table 1
-// experiment.
-func (m *voxelCacheMapper) MemoryBytes() int64 { return m.tree.MemoryBytes() }
-
-// naiveMapper fans voxel updates out over GOMAXPROCS workers that share
+// lockedStore fans voxel updates out over GOMAXPROCS workers that share
 // the voxel store behind one mutex.
-type naiveMapper struct {
-	cfg        Config
-	store      Backend
-	compactor  Compactor
-	mu         sync.Mutex
-	tracer     raytrace.Scanner
-	workers    int
-	timings    Timings
-	compaction CompactionStats
-	done       bool
+//
+// Interleaving across workers reorders same-voxel updates within a
+// batch. With symmetric clamped increments the accumulated value is
+// order-independent unless clamping engages mid-batch, so the naive
+// baseline is *approximately* consistent — one more reason the paper
+// dismisses naive parallelization (the consistency test for it tolerates
+// clamp-boundary divergence; the engine compositions are exactly
+// consistent).
+type lockedStore struct {
+	mu      sync.Mutex
+	store   Backend
+	workers int
 }
 
-func newNaive(cfg Config) *naiveMapper {
-	m := &naiveMapper{
-		cfg:     cfg,
-		store:   cfg.newBackend(),
-		tracer:  cfg.newScanner(),
-		workers: runtime.GOMAXPROCS(0),
-	}
-	m.compactor, _ = m.store.(Compactor)
-	return m
-}
-
-func (m *naiveMapper) Name() string {
-	if m.cfg.RT {
-		return "naive-parallel-rt"
-	}
-	return "naive-parallel"
-}
-
-func (m *naiveMapper) Insert(origin geom.Vec3, points []geom.Vec3) error {
-	if m.done {
-		return ErrClosed
-	}
-	start := time.Now()
-	batch := traceScan(m.tracer, m.cfg.RT, origin, points, &m.timings)
-
-	t0 := time.Now()
+func (s *lockedStore) update(batch []raytrace.Voxel) {
 	var wg sync.WaitGroup
-	chunk := (len(batch) + m.workers - 1) / m.workers
-	for w := 0; w < m.workers; w++ {
-		lo := w * chunk
-		if lo >= len(batch) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(batch) {
-			hi = len(batch)
-		}
+	chunk := (len(batch) + s.workers - 1) / s.workers
+	for lo := 0; lo < len(batch); lo += chunk {
+		hi := min(lo+chunk, len(batch))
 		wg.Add(1)
 		go func(part []raytrace.Voxel) {
 			defer wg.Done()
@@ -227,120 +193,32 @@ func (m *naiveMapper) Insert(origin geom.Vec3, points []geom.Vec3) error {
 				// The whole store must be locked per update: concurrent
 				// octree updates race on shared ancestor nodes (Figure
 				// 5), and the grid's brick map is no safer.
-				m.mu.Lock()
-				m.store.UpdateCell(v.Key, v.Occupied)
-				m.mu.Unlock()
+				s.mu.Lock()
+				s.store.UpdateCell(v.Key, v.Occupied)
+				s.mu.Unlock()
 			}
 		}(batch[lo:hi])
 	}
 	wg.Wait()
-	m.timings.OctreeUpdate += time.Since(t0)
-
-	m.timings.Batches++
-	m.timings.VoxelsTraced += int64(len(batch))
-	m.timings.VoxelsToOctree += int64(len(batch))
-	m.timings.Critical += time.Since(start)
-	return nil
 }
 
-// Note: interleaving across workers reorders same-voxel updates within a
-// batch. With symmetric clamped increments the accumulated value is
-// order-independent unless clamping engages mid-batch, so naiveMapper is
-// *approximately* consistent — one more reason the paper dismisses naive
-// parallelization (the consistency test for it tolerates clamp-boundary
-// divergence; the primary pipelines are exactly consistent).
-
-func (m *naiveMapper) Occupancy(p geom.Vec3) (float32, bool) {
-	k, ok := voxel.CoordToKey(p, m.cfg.Octree.Resolution, m.cfg.Octree.Depth)
-	if !ok {
-		return 0, false
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.store.Lookup(k)
+func (s *lockedStore) lookup(k voxel.Key) (float32, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.store.Lookup(k)
 }
 
-func (m *naiveMapper) Occupied(p geom.Vec3) bool {
-	l, known := m.Occupancy(p)
-	return known && l >= m.cfg.Octree.OccupancyThreshold
+func (s *lockedStore) walk(fn func(voxel.Leaf) bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.store.Walk(fn)
 }
 
-func (m *naiveMapper) OccupiedKey(k voxel.Key) bool {
-	m.mu.Lock()
-	l, known := m.store.Lookup(k)
-	m.mu.Unlock()
-	return known && l >= m.cfg.Octree.OccupancyThreshold
-}
-
-// Compact densifies the shared store under the global mutex, so it is
-// safe against the in-flight worker fan-out of a concurrent Insert. A
-// no-op on backends without the compaction capability.
-func (m *naiveMapper) Compact() error {
-	if m.done {
-		return ErrClosed
-	}
-	if m.compactor == nil {
-		return nil
-	}
-	t0 := time.Now()
-	m.mu.Lock()
-	cs := m.compactor.Compact()
-	m.mu.Unlock()
-	m.compaction.Runs++
-	m.compaction.SlotsReclaimed += int64(cs.NodeSlotsReclaimed + cs.KidSlotsReclaimed)
-	m.compaction.LastDuration = time.Since(t0)
-	return nil
-}
-
-func (m *naiveMapper) CompactionStats() CompactionStats { return m.compaction }
-
-func (m *naiveMapper) Resolution() float64     { return m.cfg.Octree.Resolution }
-func (m *naiveMapper) Backend() BackendKind    { return m.cfg.Backend }
-func (m *naiveMapper) Close() error            { m.done = true; return nil }
-func (m *naiveMapper) Timings() Timings        { return m.timings }
-func (m *naiveMapper) WorkCounters() Counters  { return m.timings.Counters() }
-func (m *naiveMapper) CacheStats() cache.Stats { return cache.Stats{} }
-func (m *naiveMapper) MemoryBytes() int64      { return m.store.MemoryBytes() }
-
-// Snapshot captures the store's contents under the global mutex.
-func (m *naiveMapper) Snapshot() *Snapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s := NewSnapshot(m.cfg.Octree)
-	m.store.Walk(func(l voxel.Leaf) bool {
-		s.Add(l)
-		return true
-	})
-	return s
-}
-
-func (m *naiveMapper) WriteTo(w io.Writer) (int64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if wt, ok := m.store.(io.WriterTo); ok {
-		return wt.WriteTo(w)
-	}
-	s := NewSnapshot(m.cfg.Octree)
-	m.store.Walk(func(l voxel.Leaf) bool {
-		s.Add(l)
-		return true
-	})
-	return s.WriteTo(w)
-}
-
-func (m *naiveMapper) ArenaStats() ArenaStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s := ArenaStats{Bytes: m.store.MemoryBytes()}
-	if ar, ok := m.store.(ArenaReporter); ok {
-		s.LiveNodes, s.FreeSlots, s.Capacity = ar.ArenaStats()
-	}
-	return s
-}
-
-func (m *naiveMapper) NodeVisits() int64 {
-	if vc, ok := m.store.(VisitCounter); ok {
+func (s *lockedStore) NodeVisits() int64 {
+	if vc, ok := s.store.(VisitCounter); ok {
 		return vc.NodeVisits()
 	}
 	return 0
 }
+
+func (s *lockedStore) MemoryBytes() int64 { return s.store.MemoryBytes() }

@@ -86,18 +86,3 @@ func CastRayKeys(params voxel.Params, occ func(voxel.Key) (float32, bool),
 	}
 	return geom.Vec3{}, false
 }
-
-// CastRay on the baseline pipelines outside the engine: walk toward dir
-// until a known-occupied voxel, consulting the freshest state the
-// pipeline has. (The engine compositions implement CastRay themselves;
-// see engine.go.)
-
-func (m *voxelCacheMapper) CastRay(origin, dir geom.Vec3, maxRange float64, ignoreUnknown bool) (geom.Vec3, bool) {
-	return CastRayKeys(m.cfg.Octree, m.tree.Search, origin, dir, maxRange, ignoreUnknown)
-}
-
-func (m *naiveMapper) CastRay(origin, dir geom.Vec3, maxRange float64, ignoreUnknown bool) (geom.Vec3, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return CastRayKeys(m.cfg.Octree, m.store.Lookup, origin, dir, maxRange, ignoreUnknown)
-}

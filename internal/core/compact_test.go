@@ -32,7 +32,7 @@ func fragmentingStream(t *testing.T, m Mapper) {
 // tests: the shared scan stream really does push slots through the free
 // lists, so a policy has something to trigger on.
 func TestInsertStreamFragmentsArena(t *testing.T) {
-	m := MustNew(KindOctoMap, testConfig())
+	m := mustEngine(t, KindOctoMap, testConfig())
 	fragmentingStream(t, m)
 	if free := m.ArenaStats().FreeSlots; free == 0 {
 		t.Fatal("fragmenting stream left no free slots; compaction tests are vacuous")
@@ -46,9 +46,9 @@ func TestAutoCompaction(t *testing.T) {
 	for _, kind := range allKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
 			cfg := testConfig()
-			ref := MustNew(kind, cfg)
+			ref := mustEngine(t, kind, cfg)
 			cfg.Compaction = octree.CompactionPolicy{MinFreeFraction: 0.05, MinFreeSlots: 1}
-			m := MustNew(kind, cfg)
+			m := mustEngine(t, kind, cfg)
 			fragmentingStream(t, ref)
 			fragmentingStream(t, m)
 
@@ -88,14 +88,13 @@ func TestAutoCompaction(t *testing.T) {
 func TestExplicitCompact(t *testing.T) {
 	for _, kind := range allKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
-			m, err := NewShardPipeline(kind, testConfig())
+			m, err := NewEngine(kind, testConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer m.Close()
 			fragmentingStream(t, m)
 
-			m.Quiesce()
 			before := m.ArenaStats()
 			freeBefore, capBefore := before.FreeSlots, before.Capacity
 			if freeBefore == 0 {
@@ -111,7 +110,6 @@ func TestExplicitCompact(t *testing.T) {
 			if st.Runs != 1 || st.SlotsReclaimed == 0 || st.LastDuration <= 0 {
 				t.Errorf("CompactionStats after one explicit run: %+v", st)
 			}
-			m.Quiesce()
 			after := m.ArenaStats()
 			live, free, capacity := after.LiveNodes, after.FreeSlots, after.Capacity
 			if free != 0 || live != capacity {
@@ -133,13 +131,12 @@ func TestExplicitCompact(t *testing.T) {
 	}
 }
 
-// TestCompactAfterClose covers the lifecycle contract on every pipeline
-// variant, including the Table 1 baselines: ErrClosed, not a panic or a
-// deadlock.
+// TestCompactAfterClose covers the lifecycle contract on every engine
+// composition: ErrClosed, not a panic or a deadlock.
 func TestCompactAfterClose(t *testing.T) {
-	for _, kind := range []Kind{KindOctoMap, KindSerial, KindParallel, KindVoxelCache, KindNaive} {
+	for _, kind := range allKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
-			m := MustNew(kind, testConfig())
+			m := mustEngine(t, kind, testConfig())
 			if err := m.Compact(); err != nil {
 				t.Fatalf("Compact on a live empty map: %v", err)
 			}

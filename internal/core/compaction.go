@@ -1,10 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"octocache/internal/octree"
-)
+import "time"
 
 // CompactionStats accumulates a pipeline's arena-compaction activity:
 // how often the octree arenas were rebuilt into a dense prefix, how many
@@ -75,12 +71,4 @@ func (a ArenaStats) Add(o ArenaStats) ArenaStats {
 		Capacity:  a.Capacity + o.Capacity,
 		Bytes:     a.Bytes + o.Bytes,
 	}
-}
-
-// TreeArenaStats packages a tree's arena counters into an ArenaStats
-// snapshot. The caller must hold the tree stable (mutator role, applier
-// quiescent).
-func TreeArenaStats(t *octree.Tree) ArenaStats {
-	live, free, capacity := t.ArenaStats()
-	return ArenaStats{LiveNodes: live, FreeSlots: free, Capacity: capacity, Bytes: t.MemoryBytes()}
 }

@@ -159,9 +159,9 @@ func (c Config) Validate() error {
 	return c.Compaction.Validate()
 }
 
-// newScanner constructs the configured trace stage — the one place the
+// NewScanner constructs the configured trace stage — the one place the
 // pipelines and the shard router derive a Scanner from a Config.
-func (c Config) newScanner() raytrace.Scanner {
+func (c Config) NewScanner() raytrace.Scanner {
 	return raytrace.New(raytrace.Config{
 		Resolution: c.Octree.Resolution,
 		Depth:      c.Octree.Depth,

@@ -39,6 +39,17 @@ func synthScan(rng *rand.Rand, origin geom.Vec3, n int) []geom.Vec3 {
 
 func allKinds() []Kind { return []Kind{KindOctoMap, KindSerial, KindParallel} }
 
+// mustEngine is MustNew for tests that reach past the Mapper surface to
+// the concrete engine (compaction, arena, window and durable stats).
+func mustEngine(t testing.TB, kind Kind, cfg Config) *Engine {
+	t.Helper()
+	e, err := NewEngine(kind, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 func TestNewValidatesConfig(t *testing.T) {
 	var bad Config
 	for _, k := range allKinds() {
@@ -270,7 +281,7 @@ func TestCloseIdempotentAndTerminal(t *testing.T) {
 		}
 	}
 	for _, kind := range []Kind{KindSerial, KindParallel, KindOctoMap} {
-		bm, err := NewShardPipeline(kind, testConfig())
+		bm, err := NewEngine(kind, testConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,8 +346,8 @@ func TestParallelQueueOverheadMeasured(t *testing.T) {
 
 func TestOccupiedKeyAgreement(t *testing.T) {
 	cfg := testConfig()
-	a := MustNew(KindOctoMap, cfg)
-	b := MustNew(KindParallel, cfg)
+	a := mustEngine(t, KindOctoMap, cfg)
+	b := mustEngine(t, KindParallel, cfg)
 	rng := rand.New(rand.NewSource(21))
 	pts := synthScan(rng, geom.V(0, 0, 1), 150)
 	a.Insert(geom.V(0, 0, 1), pts)

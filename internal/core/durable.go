@@ -130,20 +130,6 @@ func (s DurableStats) Add(o DurableStats) DurableStats {
 	return out
 }
 
-// Durabler is the optional capability of pipelines with durability
-// armed. The shard service and the public Map assert it once and
-// delegate.
-type Durabler interface {
-	// Checkpoint takes a consistent-cut snapshot now and waits for it to
-	// commit, retiring the WAL it covers. A mutator call. Returns
-	// ErrClosed after Close and any sticky durable error.
-	Checkpoint() error
-	// DurableStats snapshots logging activity.
-	DurableStats() DurableStats
-	// DurableErr returns the sticky durable error, if any.
-	DurableErr() error
-}
-
 // ScanDurableDir reports which logs a durable directory holds: whether
 // the single-driver log ("map") exists, and how many per-shard logs
 // ("shard-NNN") were found. The public Recover uses it to check the
@@ -236,7 +222,7 @@ func (d *durableState) appendWAL(batch []raytrace.Voxel) error {
 
 // maybeCheckpoint starts a background snapshot when the cadence is due
 // and no snapshot write is in flight. Mutator role.
-func (e *engine) maybeCheckpoint() {
+func (e *Engine) maybeCheckpoint() {
 	d := e.dur
 	if d == nil || d.pol.SnapshotEvery <= 0 || d.sinceSnap < d.pol.SnapshotEvery || d.snapBusy.Load() {
 		return
@@ -258,8 +244,11 @@ func (e *engine) maybeCheckpoint() {
 	}()
 }
 
-// Checkpoint implements Durabler: a synchronous consistent-cut snapshot.
-func (e *engine) Checkpoint() error {
+// Checkpoint takes a consistent-cut snapshot now and waits for it to
+// commit, retiring the WAL it covers. A mutator call; a no-op without a
+// Durable policy. Returns ErrClosed after Close and any sticky durable
+// error.
+func (e *Engine) Checkpoint() error {
 	if e.closed {
 		return ErrClosed
 	}
@@ -281,8 +270,8 @@ func (e *engine) Checkpoint() error {
 	return nil
 }
 
-// DurableStats implements Durabler.
-func (e *engine) DurableStats() DurableStats {
+// DurableStats snapshots logging activity; zero without a Durable policy.
+func (e *Engine) DurableStats() DurableStats {
 	d := e.dur
 	if d == nil {
 		return DurableStats{}
@@ -300,14 +289,6 @@ func (e *engine) DurableStats() DurableStats {
 	}
 }
 
-// DurableErr implements Durabler.
-func (e *engine) DurableErr() error {
-	if e.dur == nil {
-		return nil
-	}
-	return e.dur.loadErr()
-}
-
 // recoverFrom restores the engine from what Recover found on disk: the
 // last snapshot is loaded leaf-by-leaf, then the surviving WAL batches
 // replay through the normal admit path — the same cache/applier/backend
@@ -315,14 +296,14 @@ func (e *engine) DurableErr() error {
 // answers and serialized bytes) to one that ingested only the surviving
 // prefix. Runs once during construction, before the engine is visible to
 // any other goroutine.
-func (e *engine) recoverFrom(rec *durable.Recovered) error {
+func (e *Engine) recoverFrom(rec *durable.Recovered) error {
 	d := e.dur
 	if rec.HasSnapshot {
 		snap, err := ReadSnapshot(bytes.NewReader(rec.Snapshot))
 		if err != nil {
 			return fmt.Errorf("%w: recovering snapshot: %v", ErrDurable, err)
 		}
-		if err := e.LoadSnapshot(snap); err != nil {
+		if err := e.loadSnapshot(snap); err != nil {
 			return err
 		}
 	}

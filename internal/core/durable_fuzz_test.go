@@ -84,17 +84,16 @@ func FuzzDurableOpStream(f *testing.F) {
 			cfg := testConfig()
 			cfg.Backend = backend
 			cfg.Durable = Durable{Dir: dir}
-			pipe, err := NewShardPipeline(KindSerial, cfg)
+			pipe, err := NewEngine(KindSerial, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			dur := pipe.(Durabler)
 			for i, batch := range batches {
 				if err := pipe.ApplyTraced(batch); err != nil {
 					t.Fatalf("batch %d: %v", i, err)
 				}
 				if checkpointAfter[i] {
-					if err := dur.Checkpoint(); err != nil {
+					if err := pipe.Checkpoint(); err != nil {
 						t.Fatalf("checkpoint after batch %d: %v", i, err)
 					}
 				}
@@ -124,11 +123,11 @@ func FuzzDurableOpStream(f *testing.F) {
 			rcfg := cfg
 			rcfg.Durable.Dir = crash
 			rcfg.DurableRecover = true
-			rec, err := NewShardPipeline(KindSerial, rcfg)
+			rec, err := NewEngine(KindSerial, rcfg)
 			if err != nil {
 				t.Fatalf("recover at offset %d: %v", off, err)
 			}
-			seq := rec.(Durabler).DurableStats().Seq
+			seq := rec.DurableStats().Seq
 			if seq > uint64(len(batches)) {
 				t.Fatalf("recovered seq %d beyond the %d admitted batches", seq, len(batches))
 			}
@@ -144,7 +143,7 @@ func FuzzDurableOpStream(f *testing.F) {
 			// prefix through the same admit path.
 			refCfg := testConfig()
 			refCfg.Backend = backend
-			ref, err := NewShardPipeline(KindSerial, refCfg)
+			ref, err := NewEngine(KindSerial, refCfg)
 			if err != nil {
 				t.Fatal(err)
 			}

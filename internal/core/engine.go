@@ -23,12 +23,12 @@ import (
 // re-export this value, so errors.Is works across layers.
 var ErrClosed = errors.New("octocache: map is closed")
 
-// engine is the one implementation of the paper's mapping loop:
+// Engine is the one implementation of the paper's mapping loop:
 //
 //	ray trace → cache admit → τ-bounded evict → octree apply
 //
-// Every pipeline variant in this package is a composition of it along
-// two axes:
+// The three engine kinds (NewEngine; see the kinds table in mapper.go)
+// are compositions of it along two axes:
 //
 //   - cached or direct: with a cache, traced voxels are admitted to the
 //     flat cache (queries are served right after the fast insertion) and
@@ -45,7 +45,7 @@ var ErrClosed = errors.New("octocache: map is closed")
 // variants) may run concurrently with each other and with the async
 // applier's background work, but not with a mutator; the shard service
 // provides exactly that exclusion with a per-shard RWMutex.
-type engine struct {
+type Engine struct {
 	cfg      Config
 	baseName string
 	// store is the pluggable voxel store behind the pipeline; compactor
@@ -95,7 +95,7 @@ type engine struct {
 
 // getBuf takes an empty cell buffer from the free list (or nil, which
 // append then grows into a new one that later recycles).
-func (e *engine) getBuf() []cache.Cell {
+func (e *Engine) getBuf() []cache.Cell {
 	e.bufMu.Lock()
 	defer e.bufMu.Unlock()
 	if n := len(e.bufFree); n > 0 {
@@ -107,7 +107,7 @@ func (e *engine) getBuf() []cache.Cell {
 }
 
 // putBuf returns a buffer whose cells are fully consumed.
-func (e *engine) putBuf(b []cache.Cell) {
+func (e *Engine) putBuf(b []cache.Cell) {
 	if cap(b) == 0 {
 		return
 	}
@@ -116,14 +116,15 @@ func (e *engine) putBuf(b []cache.Cell) {
 	e.bufMu.Unlock()
 }
 
-func newEngine(cfg Config, baseName string, direct, async bool) (*engine, error) {
-	e := &engine{
+func newEngine(cfg Config, baseName string, direct, async bool) (*Engine, error) {
+	e := &Engine{
 		cfg:      cfg,
 		baseName: baseName,
 		store:    cfg.newBackend(),
-		tracer:   cfg.newScanner(),
+		tracer:   cfg.NewScanner(),
 	}
 	e.compactor, _ = e.store.(Compactor)
+	var store *durable.Store
 	var recovered *durable.Recovered
 	if cfg.Window.Enabled() || cfg.Durable.Enabled() {
 		// One durable store per pipeline serves all three masters: the
@@ -148,7 +149,6 @@ func newEngine(cfg Config, baseName string, direct, async bool) (*engine, error)
 		if tag == "" {
 			tag = "map"
 		}
-		var store *durable.Store
 		var err error
 		if cfg.Durable.Enabled() && cfg.DurableRecover {
 			store, recovered, err = durable.Recover(dir, tag, cfg.Durable.Sync)
@@ -182,13 +182,14 @@ func newEngine(cfg Config, baseName string, direct, async bool) (*engine, error)
 	if recovered != nil {
 		if err := e.recoverFrom(recovered); err != nil {
 			e.app.stop()
+			store.Close()
 			return nil, err
 		}
 	}
 	return e, nil
 }
 
-func (e *engine) Name() string {
+func (e *Engine) Name() string {
 	name := e.baseName
 	if e.cfg.Trace == TraceBoundary {
 		name += "-boundary"
@@ -219,7 +220,7 @@ func traceScan(tr raytrace.Scanner, rt bool, origin geom.Vec3, points []geom.Vec
 // store's copies; the direct composition receives observation markers
 // (LogOdds > 0 means an occupied observation) and applies the store's
 // own incremental update, exactly like vanilla OctoMap.
-func (e *engine) writeCells(cells []cache.Cell) {
+func (e *Engine) writeCells(cells []cache.Cell) {
 	if e.cache == nil {
 		for _, c := range cells {
 			e.store.UpdateCell(c.Key, c.LogOdds > 0)
@@ -235,7 +236,7 @@ func (e *engine) writeCells(cells []cache.Cell) {
 // applier. With the inline applier the octree update completes before it
 // returns; with the async applier it returns as soon as the batch is in
 // the SPSC buffer and the octree update proceeds in the background.
-func (e *engine) evictAndHandOff() {
+func (e *Engine) evictAndHandOff() {
 	if e.cache == nil {
 		return
 	}
@@ -252,7 +253,7 @@ func (e *engine) evictAndHandOff() {
 
 // admit integrates a traced batch so queries can see it: through the
 // cache when present, else straight into the octree.
-func (e *engine) admit(batch []raytrace.Voxel) {
+func (e *Engine) admit(batch []raytrace.Voxel) {
 	if e.cache == nil {
 		buf := e.getBuf()
 		for _, v := range batch {
@@ -291,7 +292,7 @@ func (e *engine) admit(batch []raytrace.Voxel) {
 // octree update overlaps this batch's ray tracing, and the gap handshake
 // before cache insertion guarantees queries never observe a voxel stuck
 // in the buffer. It returns ErrClosed after Close.
-func (e *engine) Insert(origin geom.Vec3, points []geom.Vec3) error {
+func (e *Engine) Insert(origin geom.Vec3, points []geom.Vec3) error {
 	if e.closed {
 		return ErrClosed
 	}
@@ -349,7 +350,7 @@ func (e *engine) Insert(origin geom.Vec3, points []geom.Vec3) error {
 // way out is what lets an async applier's octree update overlap the
 // router's out-of-lock work. It does not count a batch; routers account
 // for scans themselves.
-func (e *engine) ApplyTraced(batch []raytrace.Voxel) error {
+func (e *Engine) ApplyTraced(batch []raytrace.Voxel) error {
 	if e.closed {
 		return ErrClosed
 	}
@@ -386,7 +387,7 @@ func (e *engine) ApplyTraced(batch []raytrace.Voxel) error {
 // in-flight octree writes (the gap guarantee) and reads the tree under
 // the read lock — so cache hits never touch a lock shared with the
 // applier.
-func (e *engine) OccupancyKey(k voxel.Key) (float32, bool) {
+func (e *Engine) OccupancyKey(k voxel.Key) (float32, bool) {
 	if e.cache != nil {
 		if l, hit := e.cache.Query(k); hit {
 			return l, true
@@ -406,7 +407,7 @@ func (e *engine) OccupancyKey(k voxel.Key) (float32, bool) {
 }
 
 // Occupancy is the coordinate-space variant of OccupancyKey.
-func (e *engine) Occupancy(p geom.Vec3) (float32, bool) {
+func (e *Engine) Occupancy(p geom.Vec3) (float32, bool) {
 	k, ok := voxel.CoordToKey(p, e.cfg.Octree.Resolution, e.cfg.Octree.Depth)
 	if !ok {
 		return 0, false
@@ -414,12 +415,12 @@ func (e *engine) Occupancy(p geom.Vec3) (float32, bool) {
 	return e.OccupancyKey(k)
 }
 
-func (e *engine) Occupied(p geom.Vec3) bool {
+func (e *Engine) Occupied(p geom.Vec3) bool {
 	l, known := e.Occupancy(p)
 	return known && l >= e.cfg.Octree.OccupancyThreshold
 }
 
-func (e *engine) OccupiedKey(k voxel.Key) bool {
+func (e *Engine) OccupiedKey(k voxel.Key) bool {
 	l, known := e.OccupancyKey(k)
 	return known && l >= e.cfg.Octree.OccupancyThreshold
 }
@@ -431,7 +432,7 @@ func (e *engine) OccupiedKey(k voxel.Key) bool {
 // discarded, the tile pages back in, and the walk retries — terminating
 // because queries never run concurrently with mutators, so the spilled
 // set only shrinks.
-func (e *engine) CastRay(origin, dir geom.Vec3, maxRange float64, ignoreUnknown bool) (geom.Vec3, bool) {
+func (e *Engine) CastRay(origin, dir geom.Vec3, maxRange float64, ignoreUnknown bool) (geom.Vec3, bool) {
 	e.app.quiesce()
 	for {
 		var missed voxel.Key
@@ -467,7 +468,7 @@ func (e *engine) CastRay(origin, dir geom.Vec3, maxRange float64, ignoreUnknown 
 // octree to hold everything, and stops background work. Idempotent; the
 // engine remains queryable afterwards. It never fails and returns an
 // error only to satisfy io.Closer-style call sites.
-func (e *engine) Close() error {
+func (e *Engine) Close() error {
 	if e.closed {
 		return nil
 	}
@@ -500,9 +501,25 @@ func (e *engine) Close() error {
 	return nil
 }
 
-// Quiesce blocks until every handed-off batch has been applied to the
-// store. Layered services call it before walking the store directly.
-func (e *engine) Quiesce() { e.app.quiesce() }
+// Discard releases a live engine without flushing it: background work
+// stops and the durable store's file closes with no final checkpoint
+// (whatever the log already holds stays recoverable). It is how a
+// constructor unwinds the engines it built when a later step fails; the
+// engine must not be used afterwards.
+func (e *Engine) Discard() {
+	if e.closed {
+		return
+	}
+	e.closed = true
+	e.app.stop()
+	switch {
+	case e.dur != nil:
+		e.dur.snapWG.Wait()
+		e.dur.store.Close()
+	case e.win != nil:
+		e.win.pages.Close()
+	}
+}
 
 // Compact rebuilds the store's arenas into a dense Morton/DFS-ordered
 // prefix and releases the tail capacity, behind the existing quiesce
@@ -512,7 +529,7 @@ func (e *engine) Quiesce() { e.app.quiesce() }
 // returns ErrClosed after Close. On a backend without the compaction
 // capability (the grid never fragments) it is a no-op that reports no
 // runs.
-func (e *engine) Compact() error {
+func (e *Engine) Compact() error {
 	if e.closed {
 		return ErrClosed
 	}
@@ -523,7 +540,7 @@ func (e *engine) Compact() error {
 // maybeCompact runs one compaction when the configured policy's
 // fragmentation threshold is crossed. Callers must hold the mutator role
 // with the applier quiescent (post-admit), so the stats read is stable.
-func (e *engine) maybeCompact() {
+func (e *Engine) maybeCompact() {
 	if e.compactor == nil || !e.cfg.Compaction.Enabled() {
 		return
 	}
@@ -534,7 +551,7 @@ func (e *engine) maybeCompact() {
 
 // compact drains the applier, then rebuilds the arenas under the tree
 // write lock so no query can observe handles mid-move.
-func (e *engine) compact() {
+func (e *Engine) compact() {
 	if e.compactor == nil {
 		return
 	}
@@ -549,7 +566,7 @@ func (e *engine) compact() {
 }
 
 // CompactionStats reports cumulative arena-compaction activity.
-func (e *engine) CompactionStats() CompactionStats { return e.compaction }
+func (e *Engine) CompactionStats() CompactionStats { return e.compaction }
 
 // LoadLeaf writes one (possibly aggregate) leaf into the engine's store,
 // as emitted by a backend walk — the seam map loading is built on.
@@ -560,7 +577,7 @@ func (e *engine) CompactionStats() CompactionStats { return e.compaction }
 // overwrites whole tiles, so any spilled frames it covers are simply
 // dropped. Coarse-loaded regions stay resident until inserts touch
 // their tiles, which is when they join the recency list.
-func (e *engine) LoadLeaf(l voxel.Leaf) error {
+func (e *Engine) LoadLeaf(l voxel.Leaf) error {
 	if e.closed {
 		return ErrClosed
 	}
@@ -594,10 +611,10 @@ func (e *engine) LoadLeaf(l voxel.Leaf) error {
 	return nil
 }
 
-// LoadSnapshot replays every leaf of src into the engine's store. The
+// loadSnapshot replays every leaf of src into the engine's store. The
 // snapshot's parameters must match the engine's so key spaces and the
 // occupancy model agree.
-func (e *engine) LoadSnapshot(src *Snapshot) error {
+func (e *Engine) loadSnapshot(src *Snapshot) error {
 	if p := src.Params(); p != e.cfg.Octree {
 		return fmt.Errorf("core: loaded snapshot params %+v differ from pipeline params %+v", p, e.cfg.Octree)
 	}
@@ -609,10 +626,7 @@ func (e *engine) LoadSnapshot(src *Snapshot) error {
 	return err
 }
 
-func (e *engine) Resolution() float64 { return e.cfg.Octree.Resolution }
-
-// Backend reports which voxel store backs the engine.
-func (e *engine) Backend() BackendKind { return e.cfg.Backend }
+func (e *Engine) Resolution() float64 { return e.cfg.Octree.Resolution }
 
 // WalkLeaves streams the pipeline's complete contents: the store's
 // leaves in ascending Morton order (applier drained first), then — with
@@ -628,7 +642,7 @@ func (e *engine) Backend() BackendKind { return e.cfg.Backend }
 // whole-stream ascending-Morton property holds only for unwindowed
 // maps; consume windowed streams by replay. After Close the cache is
 // flushed and the stream is the ordered store walk plus spilled tiles.
-func (e *engine) WalkLeaves(fn func(voxel.Leaf) bool) {
+func (e *Engine) WalkLeaves(fn func(voxel.Leaf) bool) {
 	e.app.quiesce()
 	e.treeRW.RLock()
 	defer e.treeRW.RUnlock()
@@ -676,7 +690,7 @@ func (e *engine) WalkLeaves(fn func(voxel.Leaf) bool) {
 // snapshot: the accessor that replaces the old raw Tree() escape
 // hatch, answering exactly like the live map at any point in the
 // stream.
-func (e *engine) Snapshot() *Snapshot {
+func (e *Engine) Snapshot() *Snapshot {
 	s := NewSnapshot(e.cfg.Octree)
 	e.WalkLeaves(func(l voxel.Leaf) bool {
 		s.Add(l)
@@ -691,7 +705,7 @@ func (e *engine) Snapshot() *Snapshot {
 // is spilled; otherwise the canonical snapshot path folds cached cells
 // and spilled tiles in, producing identical bytes for content-equal
 // maps either way — serialization is window-invariant.
-func (e *engine) WriteTo(w io.Writer) (int64, error) {
+func (e *Engine) WriteTo(w io.Writer) (int64, error) {
 	if e.win != nil {
 		if err := e.win.loadErr(); err != nil {
 			return 0, err
@@ -717,7 +731,7 @@ func (e *engine) WriteTo(w io.Writer) (int64, error) {
 // ArenaStats snapshots the store's arena occupancy (zero-valued except
 // for the footprint when the backend does not report arenas), draining
 // the applier first so the counters are exact.
-func (e *engine) ArenaStats() ArenaStats {
+func (e *Engine) ArenaStats() ArenaStats {
 	e.app.quiesce()
 	s := ArenaStats{Bytes: e.store.MemoryBytes()}
 	if ar, ok := e.store.(ArenaReporter); ok {
@@ -728,31 +742,24 @@ func (e *engine) ArenaStats() ArenaStats {
 
 // NodeVisits reports the store's cumulative memory-touch count, or 0
 // for backends without the capability.
-func (e *engine) NodeVisits() int64 {
+func (e *Engine) NodeVisits() int64 {
 	if vc, ok := e.store.(VisitCounter); ok {
 		return vc.NodeVisits()
 	}
 	return 0
 }
 
-// ResetNodeVisits zeroes the store's visit counter where supported.
-func (e *engine) ResetNodeVisits() {
-	if vc, ok := e.store.(VisitCounter); ok {
-		vc.ResetNodeVisits()
-	}
-}
-
 // MemoryBytes estimates the store's heap footprint.
-func (e *engine) MemoryBytes() int64 { return e.store.MemoryBytes() }
+func (e *Engine) MemoryBytes() int64 { return e.store.MemoryBytes() }
 
-func (e *engine) CacheLen() int {
+func (e *Engine) CacheLen() int {
 	if e.cache == nil {
 		return 0
 	}
 	return e.cache.Len()
 }
 
-func (e *engine) CacheStats() cache.Stats {
+func (e *Engine) CacheStats() cache.Stats {
 	if e.cache == nil {
 		return cache.Stats{}
 	}
@@ -762,7 +769,7 @@ func (e *engine) CacheStats() cache.Stats {
 // Timings merges the mutator-side stage decomposition with the stages
 // accrued inside the applier (octree update, queue transfer) — the
 // per-thread busy-time split the benchmark harness reports.
-func (e *engine) Timings() Timings {
+func (e *Engine) Timings() Timings {
 	t := e.timings
 	oct, enq, deq := e.app.timings()
 	t.OctreeUpdate += oct
@@ -776,7 +783,7 @@ func (e *engine) Timings() Timings {
 // hand-off, before any async application), so the snapshot is exact for
 // the single driver the mutator contract already requires and never
 // waits on the applier.
-func (e *engine) WorkCounters() Counters { return e.timings.Counters() }
+func (e *Engine) WorkCounters() Counters { return e.timings.Counters() }
 
 // applier is the pluggable octree-apply stage: it receives eviction (or
 // direct-update) batches and guarantees, after quiesce, that every batch
@@ -801,7 +808,7 @@ type applier interface {
 // compositions, where the octree update stays on the critical path
 // (cached: Figure 11/13a; direct: Figure 4).
 type inlineApplier struct {
-	e        *engine
+	e        *Engine
 	octreeNS time.Duration
 }
 
@@ -818,6 +825,13 @@ func (a *inlineApplier) stop()    {}
 func (a *inlineApplier) timings() (time.Duration, time.Duration, time.Duration) {
 	return a.octreeNS, 0, 0
 }
+
+// parallelQueueCap sizes the shared eviction buffer, in batches: the
+// SPSC ring carries whole batch slices, so the cap bounds in-flight
+// eviction batches (each recycling through the engine's buffer free
+// list), not cells. Tests shrink it to stress the hand-off under a tiny
+// ring.
+var parallelQueueCap = 1 << 16
 
 // asyncApplier is the paper's thread 2 (Figure 14): a dedicated
 // goroutine dequeues batches from the SPSC buffer and writes them into
@@ -839,7 +853,7 @@ func (a *inlineApplier) timings() (time.Duration, time.Duration, time.Duration) 
 // query goroutines can wait for the gap at once — which is what lets the
 // shard service run queries under a shared lock.
 type asyncApplier struct {
-	e       *engine
+	e       *Engine
 	queue   *spsc.Queue[[]cache.Cell]
 	batchCh chan struct{} // doorbell: one token per enqueued batch
 
@@ -854,7 +868,7 @@ type asyncApplier struct {
 	t2Dequeue atomic.Int64  // ns spent dequeuing on the worker
 }
 
-func newAsyncApplier(e *engine) *asyncApplier {
+func newAsyncApplier(e *Engine) *asyncApplier {
 	a := &asyncApplier{
 		e:       e,
 		queue:   spsc.New[[]cache.Cell](parallelQueueCap),

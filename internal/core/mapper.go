@@ -6,13 +6,15 @@ import (
 
 	"octocache/internal/cache"
 	"octocache/internal/geom"
-	"octocache/internal/raytrace"
-	"octocache/internal/voxel"
 )
 
-// Mapper is the query-consistent interface every pipeline implements —
+// Mapper is the query-consistent surface every pipeline — the Engine
+// compositions and the two Table 1 comparison baselines — answers to:
 // the paper's requirement that OctoCache expose the same voxel query API
-// and results as vanilla OctoMap (§4.1).
+// and results as vanilla OctoMap (§4.1). It declares only what the
+// interface-typed consumers (navigation, the experiment harness, the cmd
+// tools, the examples) call; everything the sharded service and the
+// public Map need beyond it lives on the concrete *Engine.
 //
 // The contract: after Insert returns, queries reflect every observation
 // inserted so far, exactly as OctoMap would report them.
@@ -27,9 +29,6 @@ type Mapper interface {
 
 	// Occupied reports whether the voxel containing p is known-occupied.
 	Occupied(p geom.Vec3) bool
-
-	// OccupiedKey is the key-space variant of Occupied.
-	OccupiedKey(k voxel.Key) bool
 
 	// CastRay walks from origin along dir until it enters a known-
 	// occupied voxel or exceeds maxRange, returning the hit voxel's
@@ -49,26 +48,17 @@ type Mapper interface {
 	// for the backing store.
 	Resolution() float64
 
-	// Backend reports which voxel store backs the pipeline.
-	Backend() BackendKind
-
-	// Snapshot captures the store's current contents as a canonical,
+	// Snapshot captures the map's current contents as a canonical,
 	// backend-neutral snapshot — for serialization, merging, and
-	// read-only consumers. The snapshot excludes cells still parked in
-	// the cache; Close (or flush) first for a complete map. Treat it as
-	// a mutator call on parallel pipelines.
+	// read-only consumers. Treat it as a mutator call on parallel
+	// pipelines.
 	Snapshot() *Snapshot
 
-	// WriteTo serializes the store in the .bt format, draining any
+	// WriteTo serializes the map in the .bt format, draining any
 	// background applier first. Bytes are identical across backends for
 	// content-equal maps. Treat it as a mutator call on parallel
 	// pipelines.
 	WriteTo(w io.Writer) (int64, error)
-
-	// ArenaStats snapshots the store's arena occupancy (resident-brick
-	// counts for the grid backend), draining any background applier
-	// first.
-	ArenaStats() ArenaStats
 
 	// NodeVisits reports the store's cumulative memory-touch count — the
 	// bottleneck experiments' architecture-neutral proxy for Figure 5's
@@ -77,18 +67,6 @@ type Mapper interface {
 
 	// MemoryBytes estimates the store's heap footprint.
 	MemoryBytes() int64
-
-	// Compact rebuilds the store's arenas into a dense
-	// Morton/DFS-ordered prefix, releasing fragmented tail capacity.
-	// Observable structure — queries and serialized bytes — is
-	// unchanged. Like Insert it is a mutator call: the caller provides
-	// the same serialization. A no-op on backends without the
-	// compaction capability. Returns ErrClosed after Close.
-	Compact() error
-
-	// CompactionStats reports cumulative arena-compaction activity,
-	// covering both automatic (policy-triggered) and explicit runs.
-	CompactionStats() CompactionStats
 
 	// Timings returns the cumulative stage decomposition.
 	Timings() Timings
@@ -106,67 +84,6 @@ type Mapper interface {
 
 	// Name identifies the pipeline variant for reports.
 	Name() string
-}
-
-// BatchMapper extends Mapper with the routable entry points the sharded
-// map service (internal/shard) drives: the router traces each scan once,
-// partitions the traced cells by shard, and applies each shard's slice
-// through ApplyTraced — so ray tracing runs outside any shard lock.
-type BatchMapper interface {
-	Mapper
-
-	// ApplyTraced integrates pre-traced voxel observations exactly as
-	// Insert would after its ray-tracing stage (cache insert, τ-bounded
-	// eviction, octree apply). It does not count a batch; routers
-	// account for scans themselves. Returns ErrClosed after Close.
-	ApplyTraced(batch []raytrace.Voxel) error
-
-	// OccupancyKey is the key-space variant of Occupancy.
-	OccupancyKey(k voxel.Key) (logOdds float32, known bool)
-
-	// CacheLen reports the number of cells currently parked in the
-	// pipeline's cache awaiting eviction — the shard's queue depth.
-	CacheLen() int
-
-	// Quiesce blocks until every store write handed to the pipeline's
-	// applier has landed. A no-op for inline appliers. Layered services
-	// call it before walking the store directly.
-	Quiesce()
-
-	// WalkLeaves streams the pipeline's complete contents: the store's
-	// leaves in ascending Morton order (applier drained first), then
-	// any cache-resident cells as finest-depth leaves. A key may appear
-	// twice — store value first, authoritative cached value second — so
-	// consume the stream by replay (Snapshot.Add), which converges to
-	// the live map's answers. This is the per-shard walk the sharded
-	// service merges snapshots from.
-	WalkLeaves(fn func(voxel.Leaf) bool)
-
-	// LoadLeaf writes one (possibly aggregate) leaf, as emitted by a
-	// backend walk, into the pipeline's store — the seam map loading is
-	// built on. Returns ErrClosed after Close.
-	LoadLeaf(l voxel.Leaf) error
-}
-
-// NewShardPipeline builds the pipeline that backs one spatial shard of a
-// sharded map: an engine composition exposing the batch interface. The
-// shard layer provides cross-goroutine exclusion between mutators and
-// queries; KindParallel additionally runs the shard's octree application
-// on a background applier, per the paper's two-thread schedule.
-func NewShardPipeline(kind Kind, cfg Config) (BatchMapper, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	switch kind {
-	case KindSerial:
-		return newSerial(cfg)
-	case KindParallel:
-		return newParallel(cfg)
-	case KindOctoMap:
-		return newOctoMap(cfg)
-	default:
-		return nil, errUnknownKind(kind)
-	}
 }
 
 // Kind enumerates the pipeline variants.
@@ -187,58 +104,64 @@ const (
 	KindNaive
 )
 
-func (k Kind) String() string {
-	switch k {
-	case KindOctoMap:
-		return "octomap"
-	case KindSerial:
-		return "octocache-serial"
-	case KindParallel:
-		return "octocache-parallel"
-	case KindVoxelCache:
-		return "voxelcache"
-	case KindNaive:
-		return "naive-parallel"
-	default:
-		return "unknown"
-	}
+// kinds is the one constructor table: a kind's report name and, for the
+// three Engine compositions, where it sits on the engine's two axes
+// (see Engine). The cfg.RT flag independently selects deduplicating ray
+// tracing, yielding the paper's six evaluated systems.
+var kinds = [...]struct {
+	name string
+	// direct: no cache — every traced voxel goes straight into the
+	// store and queries wait for the whole update (Figure 4).
+	// async: the store-apply stage runs on a background goroutine behind
+	// the SPSC buffer (Figure 14) instead of inline (Figure 11/13a).
+	direct, async bool
+	// baseline marks the Table 1 comparison pipelines, which are not
+	// engines (see baselines.go).
+	baseline bool
+}{
+	KindOctoMap:    {name: "octomap", direct: true},
+	KindSerial:     {name: "octocache-serial"},
+	KindParallel:   {name: "octocache-parallel", async: true},
+	KindVoxelCache: {name: "voxelcache", baseline: true},
+	KindNaive:      {name: "naive-parallel", baseline: true},
 }
 
-// New constructs the pipeline variant selected by kind. The cfg.RT flag
-// independently selects deduplicating ray tracing, yielding the paper's
-// six evaluated systems.
-func New(kind Kind, cfg Config) (Mapper, error) {
+func (k Kind) valid() bool { return k >= 0 && int(k) < len(kinds) }
+
+func (k Kind) String() string {
+	if !k.valid() {
+		return "unknown"
+	}
+	return kinds[k].name
+}
+
+// NewEngine constructs one of the three engine compositions —
+// KindOctoMap, KindSerial or KindParallel — as the concrete type the
+// sharded router drives. The caller provides the exclusion the Engine
+// documents: one mutator at a time, queries never beside a mutator.
+func NewEngine(kind Kind, cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	switch kind {
-	case KindOctoMap:
-		return newOctoMap(cfg)
-	case KindSerial:
-		return newSerial(cfg)
-	case KindParallel:
-		return newParallel(cfg)
-	case KindVoxelCache, KindNaive:
-		// The Table 1 baselines exist for bottleneck comparison only and
-		// implement neither windowed paging nor durability.
-		if cfg.Window.Enabled() {
-			return nil, fmt.Errorf("core: pipeline %v does not support a bounded-memory window", kind)
-		}
-		if cfg.Durable.Enabled() {
-			return nil, fmt.Errorf("core: pipeline %v does not support durability", kind)
-		}
-		if kind == KindVoxelCache {
-			return newVoxelCache(cfg)
-		}
-		return newNaive(cfg), nil
-	default:
-		return nil, errUnknownKind(kind)
+	if !kind.valid() || kinds[kind].baseline {
+		return nil, fmt.Errorf("core: pipeline kind %d (%v) is not an engine composition", int(kind), kind)
 	}
+	k := kinds[kind]
+	return newEngine(cfg, k.name, k.direct, k.async)
 }
 
-type errUnknownKind Kind
-
-func (e errUnknownKind) Error() string { return "core: unknown pipeline kind" }
+// New constructs the pipeline variant selected by kind, baselines
+// included, behind the Mapper surface.
+func New(kind Kind, cfg Config) (Mapper, error) {
+	if kind.valid() && kinds[kind].baseline {
+		return newBaseline(kind, cfg)
+	}
+	e, err := NewEngine(kind, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return e, nil
+}
 
 // MustNew is New for static configurations known to be valid.
 func MustNew(kind Kind, cfg Config) Mapper {

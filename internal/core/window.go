@@ -143,20 +143,6 @@ func (s WindowStats) Add(o WindowStats) WindowStats {
 	return out
 }
 
-// Windower is the optional capability of pipelines with a window armed.
-// The shard service and the public Map assert it once and delegate.
-type Windower interface {
-	// Recenter moves the window to the tile containing origin and evicts
-	// out-of-window tiles — the explicit form of the recentering every
-	// Insert performs. A mutator call. Returns ErrClosed after Close and
-	// any sticky pager error.
-	Recenter(origin geom.Vec3) error
-	// WindowStats snapshots paging activity.
-	WindowStats() WindowStats
-	// WindowErr returns the sticky pager error, if any.
-	WindowErr() error
-}
-
 // Evictor is the optional Backend capability windowed maps require: the
 // store can detach one tile — the aligned cube at tileDepth containing
 // corner — as a canonical leaf run (exactly its Walk emission for that
@@ -247,7 +233,7 @@ func (w *windowState) tileOf(k voxel.Key) voxel.Key {
 // would silently restart its voxels from unknown. Called from the
 // mutator role; when nothing is spilled it is one atomic load plus an
 // LRU touch per tile run.
-func (e *engine) ensureResident(batch []raytrace.Voxel) error {
+func (e *Engine) ensureResident(batch []raytrace.Voxel) error {
 	w := e.win
 	spilled := w.spilledN.Load() > 0
 	var last voxel.Key
@@ -275,7 +261,7 @@ func (e *engine) ensureResident(batch []raytrace.Voxel) error {
 // reloadTile pages one spilled tile back in under the tree write lock.
 // Mutator role only; the applier must already be quiescent or is
 // quiesced here.
-func (e *engine) reloadTile(t voxel.Key) error {
+func (e *Engine) reloadTile(t voxel.Key) error {
 	e.app.quiesce()
 	e.treeRW.Lock()
 	err := e.reloadTileLocked(t)
@@ -284,7 +270,7 @@ func (e *engine) reloadTile(t voxel.Key) error {
 }
 
 // reloadTileLocked is reloadTile for callers already holding treeRW.
-func (e *engine) reloadTileLocked(t voxel.Key) error {
+func (e *Engine) reloadTileLocked(t voxel.Key) error {
 	w := e.win
 	if _, ok := w.spilled[t]; !ok {
 		return nil // lost a race with another reloader
@@ -309,7 +295,7 @@ func (e *engine) reloadTileLocked(t voxel.Key) error {
 // maybeRecenter moves the window to the tile containing origin and
 // evicts whatever fell outside. Runs at the tail of every Insert, in the
 // mutator role with the applier quiescent.
-func (e *engine) maybeRecenter(origin geom.Vec3) error {
+func (e *Engine) maybeRecenter(origin geom.Vec3) error {
 	w := e.win
 	k, ok := voxel.CoordToKey(origin, e.cfg.Octree.Resolution, e.cfg.Octree.Depth)
 	if ok {
@@ -326,7 +312,7 @@ func (e *engine) maybeRecenter(origin geom.Vec3) error {
 // MaxResidentTiles cap, the least-recently-touched in-window tiles),
 // oldest first, bounded by MaxEvictPerCycle per call. The fast path —
 // every tile in-window and under the cap — is a pure LRU scan.
-func (e *engine) evictOutOfWindow() error {
+func (e *Engine) evictOutOfWindow() error {
 	w := e.win
 	if !w.centered {
 		return nil
@@ -362,7 +348,7 @@ func (e *engine) evictOutOfWindow() error {
 // timed into MaxPause — the pause bound MaxEvictPerCycle trades against.
 // A spill failure reinstalls the detached run (no data loss) and sets
 // the sticky error.
-func (e *engine) evictTiles(tiles []voxel.Key) error {
+func (e *Engine) evictTiles(tiles []voxel.Key) error {
 	w := e.win
 	e.app.quiesce()
 	t0 := time.Now()
@@ -411,7 +397,7 @@ func (e *engine) evictTiles(tiles []voxel.Key) error {
 // query path that found the window armed. Queries run concurrently with
 // each other, so the spilled check happens under the read lock and the
 // reload re-checks under the write lock.
-func (e *engine) pageInForQuery(k voxel.Key) error {
+func (e *Engine) pageInForQuery(k voxel.Key) error {
 	w := e.win
 	t := w.tileOf(k)
 	e.treeRW.RLock()
@@ -423,8 +409,11 @@ func (e *engine) pageInForQuery(k voxel.Key) error {
 	return e.reloadTile(t)
 }
 
-// Recenter implements Windower: the explicit mutator-role recentering.
-func (e *engine) Recenter(origin geom.Vec3) error {
+// Recenter moves the window to the tile containing origin and evicts
+// out-of-window tiles — the explicit form of the recentering every
+// Insert performs. A mutator call; a no-op without a Window policy.
+// Returns ErrClosed after Close and any sticky pager error.
+func (e *Engine) Recenter(origin geom.Vec3) error {
 	if e.closed {
 		return ErrClosed
 	}
@@ -438,8 +427,8 @@ func (e *engine) Recenter(origin geom.Vec3) error {
 	return e.maybeRecenter(origin)
 }
 
-// WindowStats implements Windower.
-func (e *engine) WindowStats() WindowStats {
+// WindowStats snapshots paging activity; zero without a Window policy.
+func (e *Engine) WindowStats() WindowStats {
 	if e.win == nil {
 		return WindowStats{}
 	}
@@ -459,8 +448,8 @@ func (e *engine) WindowStats() WindowStats {
 	return s
 }
 
-// WindowErr implements Windower.
-func (e *engine) WindowErr() error {
+// WindowErr returns the sticky pager error, if any.
+func (e *Engine) WindowErr() error {
 	if e.win == nil {
 		return nil
 	}

@@ -73,8 +73,8 @@ func TestWindowedMatchesUnwindowed(t *testing.T) {
 			t.Run(backend.String()+"/"+kind.String(), func(t *testing.T) {
 				cfg := windowedConfig(t, 2)
 				cfg.Backend = backend
-				ref := MustNew(kind, testConfigBackend(backend))
-				win := MustNew(kind, cfg)
+				ref := mustEngine(t, kind, testConfigBackend(backend))
+				win := mustEngine(t, kind, cfg)
 				defer ref.Close()
 				defer win.Close()
 
@@ -111,11 +111,11 @@ func TestWindowedMatchesUnwindowed(t *testing.T) {
 					}
 				}
 
-				ws := win.(Windower).WindowStats()
+				ws := win.WindowStats()
 				if !ws.Enabled || ws.Evictions == 0 || ws.SpilledTiles == 0 {
 					t.Fatalf("window never paged: %+v", ws)
 				}
-				if rs := ref.(Windower).WindowStats(); rs.Enabled {
+				if rs := ref.WindowStats(); rs.Enabled {
 					t.Fatal("unwindowed map reports an enabled window")
 				}
 
@@ -161,8 +161,8 @@ func testConfigBackend(b BackendKind) Config {
 // unbounded map's.
 func TestWindowBoundsMemory(t *testing.T) {
 	cfg := windowedConfig(t, 1)
-	ref := MustNew(KindSerial, testConfig())
-	win := MustNew(KindSerial, cfg)
+	ref := mustEngine(t, KindSerial, testConfig())
+	win := mustEngine(t, KindSerial, cfg)
 	defer ref.Close()
 	defer win.Close()
 
@@ -180,7 +180,7 @@ func TestWindowBoundsMemory(t *testing.T) {
 	if winMem >= refMem {
 		t.Fatalf("windowed resident memory %d not below unbounded %d", winMem, refMem)
 	}
-	ws := win.(Windower).WindowStats()
+	ws := win.WindowStats()
 	if ws.SpilledTiles == 0 || ws.BytesOnDisk == 0 {
 		t.Fatalf("bounded memory without spilling? %+v", ws)
 	}
@@ -190,9 +190,8 @@ func TestWindowBoundsMemory(t *testing.T) {
 // spills the mapped region, and queries transparently page it back.
 func TestRecenterExplicit(t *testing.T) {
 	cfg := windowedConfig(t, 1)
-	m := MustNew(KindSerial, cfg)
+	m := mustEngine(t, KindSerial, cfg)
 	defer m.Close()
-	w := m.(Windower)
 
 	origin := geom.V(2, 2, 2)
 	target := geom.V(4, 2, 2)
@@ -206,20 +205,20 @@ func TestRecenterExplicit(t *testing.T) {
 
 	// Drive the window to the far corner until the mapped tiles spill.
 	for i := 0; i < 64; i++ {
-		if err := w.Recenter(geom.V(23, 23, 23)); err != nil {
+		if err := m.Recenter(geom.V(23, 23, 23)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if ws := w.WindowStats(); ws.SpilledTiles == 0 {
+	if ws := m.WindowStats(); ws.SpilledTiles == 0 {
 		t.Fatalf("recenter spilled nothing: %+v", ws)
 	}
 	if got, known := m.Occupancy(target); !known || got != want {
 		t.Fatalf("spilled region answered (%v,%v), want (%v,true)", got, known, want)
 	}
-	if ws := w.WindowStats(); ws.Reloads == 0 {
+	if ws := m.WindowStats(); ws.Reloads == 0 {
 		t.Fatalf("query did not page the tile back: %+v", ws)
 	}
-	if err := w.WindowErr(); err != nil {
+	if err := m.WindowErr(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -229,9 +228,8 @@ func TestMaxResidentTiles(t *testing.T) {
 	cfg := windowedConfig(t, 16) // window covers the whole cube
 	cfg.Window.MaxResidentTiles = 4
 	cfg.Window.MaxEvictPerCycle = 64
-	m := MustNew(KindSerial, cfg)
+	m := mustEngine(t, KindSerial, cfg)
 	defer m.Close()
-	w := m.(Windower)
 
 	rng := rand.New(rand.NewSource(3))
 	for _, origin := range walkPath(8) {
@@ -241,11 +239,11 @@ func TestMaxResidentTiles(t *testing.T) {
 	}
 	// Settle: each recenter evicts a bounded batch of LRU tiles.
 	for i := 0; i < 32; i++ {
-		if err := w.Recenter(geom.V(20, 20, 20)); err != nil {
+		if err := m.Recenter(geom.V(20, 20, 20)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if ws := w.WindowStats(); ws.ResidentTiles > cfg.Window.MaxResidentTiles {
+	if ws := m.WindowStats(); ws.ResidentTiles > cfg.Window.MaxResidentTiles {
 		t.Fatalf("resident tiles %d exceed cap %d", ws.ResidentTiles, cfg.Window.MaxResidentTiles)
 	}
 }
@@ -256,9 +254,8 @@ func TestMaxResidentTiles(t *testing.T) {
 // then sticks — distinct from ErrClosed.
 func TestWindowPagerErrorSticky(t *testing.T) {
 	cfg := windowedConfig(t, 1)
-	m := MustNew(KindSerial, cfg)
+	m := mustEngine(t, KindSerial, cfg)
 	defer m.Close()
-	w := m.(Windower)
 
 	rng := rand.New(rand.NewSource(5))
 	firstOrigin := walkPath(8)[0]
@@ -271,7 +268,7 @@ func TestWindowPagerErrorSticky(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if ws := w.WindowStats(); ws.SpilledTiles == 0 {
+	if ws := m.WindowStats(); ws.SpilledTiles == 0 {
 		t.Fatalf("traverse spilled nothing: %+v", ws)
 	}
 
@@ -283,7 +280,7 @@ func TestWindowPagerErrorSticky(t *testing.T) {
 	for _, p := range firstScan {
 		m.Occupancy(p) // queries must not panic; they answer from resident state
 	}
-	err := w.WindowErr()
+	err := m.WindowErr()
 	if err == nil {
 		t.Fatal("reload from a truncated file left no sticky error")
 	}
@@ -296,7 +293,7 @@ func TestWindowPagerErrorSticky(t *testing.T) {
 	if ierr := m.Insert(firstOrigin, firstScan); !errors.Is(ierr, ErrPager) {
 		t.Fatalf("Insert after pager failure = %v, want ErrPager", ierr)
 	}
-	if rerr := w.Recenter(firstOrigin); !errors.Is(rerr, ErrPager) {
+	if rerr := m.Recenter(firstOrigin); !errors.Is(rerr, ErrPager) {
 		t.Fatalf("Recenter after pager failure = %v, want ErrPager", rerr)
 	}
 	var buf bytes.Buffer

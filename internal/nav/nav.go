@@ -30,9 +30,10 @@ import (
 )
 
 // Mapper is the minimal occupancy-map surface the navigation loop
-// drives. It is satisfied both by the internal pipelines (core.Mapper)
-// and by the public octocache.Map, so missions can run against exactly
-// the API real applications use.
+// drives: the four calls below, nothing else. Every internal pipeline
+// (engine or comparison baseline) and the public octocache.Map satisfy
+// it, so missions can run against exactly the API real applications
+// use.
 type Mapper interface {
 	// Insert integrates one sensor scan observed from origin; it fails
 	// only on a closed map, which the mission loop never drives.

@@ -1,9 +1,18 @@
-// Package shard implements the sharded concurrent map service: space is
-// partitioned across N independent OctoCache pipelines keyed by the top
-// bits of the voxel Morton code, so many producer goroutines can ingest
-// point clouds concurrently and a query only contends on the single
-// shard that owns the queried voxel — instead of every caller serializing
-// behind one pipeline and one global octree mutex.
+// Package shard implements the map router: one Map over N ≥ 1
+// core.Engines, each owning the voxels whose Morton code carries its
+// prefix. It is the only thing the public octocache.Map holds, in two
+// shapes read off Config.Shards:
+//
+//   - Shards ≥ 1 — the sharded concurrent service. Space is partitioned
+//     across N engines (rounded up to a power of two) so many producer
+//     goroutines can ingest point clouds concurrently and a query only
+//     contends on the single shard that owns the queried voxel — instead
+//     of every caller serializing behind one pipeline and one global
+//     octree mutex. Every method is safe for concurrent use.
+//   - Shards == 0 — the single-driver map: the same router at N = 1 with
+//     its locks elided. The caller provides the engine's exclusion (one
+//     goroutine drives it), Insert is the engine's own Insert, and a
+//     query costs what it costs on the bare engine.
 //
 // Why Morton-prefix sharding: the high bits of a Morton code address the
 // coarsest octree subdivisions, so each shard owns a union of whole
@@ -13,17 +22,17 @@
 // stream stays ordered under the shard's lock and answers remain
 // bit-identical to the serial pipeline — see the consistency tests).
 //
-// Ingest path per producer: the scan is ray-traced once outside any
-// lock, the traced cells are partitioned by shard index with a stable
-// counting sort into a pooled flat scratch (count per shard, prefix-sum
-// offsets, ordered scatter — no per-shard slice growth, no allocation in
-// steady state), and each shard's contiguous segment is applied under
-// that shard's write lock through the pipeline's ApplyTraced entry
-// point. The scatter preserves each voxel's observation order, which is
-// what keeps sharded answers bit-identical to the serial pipeline.
-// Distinct producers mostly touch distinct shards (scans are spatially
-// compact), so ingest scales with the shard count until producers
-// collide on hot regions.
+// Ingest path per producer (Shards ≥ 1): the scan is ray-traced once
+// outside any lock, the traced cells are partitioned by shard index with
+// a stable counting sort into a pooled flat scratch (count per shard,
+// prefix-sum offsets, ordered scatter — no per-shard slice growth, no
+// allocation in steady state), and each shard's contiguous segment is
+// applied under that shard's write lock through the engine's ApplyTraced
+// entry point. The scatter preserves each voxel's observation order,
+// which is what keeps sharded answers bit-identical to the serial
+// pipeline. Distinct producers mostly touch distinct shards (scans are
+// spatially compact), so ingest scales with the shard count until
+// producers collide on hot regions.
 //
 // Locking is a per-shard RWMutex: mutators (the apply slice of an
 // Insert, Close's flush) take the write side, queries take the read
@@ -33,11 +42,18 @@
 // handed-off eviction batches to land — so with PipelineAsync, octree
 // application runs on a background goroutine per shard (the paper's
 // Figure 14 schedule) while queries keep flowing.
+//
+// Whole-map operations (CastRay, WriteTo) have two forms, chosen by the
+// shard count: with one engine they are that engine's own operation
+// under one lock acquisition; with several they are recomposed across
+// shards (a ray resolves each step at its owning shard, serialization
+// merges the per-shard leaf walks).
 package shard
 
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -91,48 +107,92 @@ func (p Pipeline) kind() (core.Kind, error) {
 	}
 }
 
-// Config configures a sharded map.
+// Config configures a router.
 type Config struct {
-	// Core configures the per-shard pipelines (resolution, sensor model,
-	// cache shape, RT tracing). The cache bucket budget
+	// Core configures the engines (resolution, sensor model, cache
+	// shape, RT tracing). With Shards ≥ 1 the cache bucket budget
 	// Core.CacheBuckets is divided evenly across shards (floored at
 	// MinShardBuckets), so total cache memory is shard-count independent.
 	Core core.Config
-	// Shards is the number of spatial partitions, rounded up to a power
-	// of two. Values below 1 mean 1; values above MaxShards are an error.
+	// Shards ≥ 1 is the number of spatial partitions of the concurrent
+	// service, rounded up to a power of two; 0 selects the single-driver
+	// router (one engine, caller-serialized, locks elided). Negative
+	// values and values above MaxShards are an error.
 	Shards int
 	// Pipeline selects the per-shard composition. The zero value is
 	// PipelineSerial, the seed behaviour.
 	Pipeline Pipeline
 }
 
-// shardState is one spatial partition: an engine-backed pipeline guarded
-// by its own RWMutex — mutators exclusive, queries shared. With
-// PipelineAsync the pipeline's background applier runs outside this lock
-// entirely; the engine's own tree lock and gap handshake order its
-// octree writes against queries.
-type shardState struct {
-	mu   sync.RWMutex
-	pipe core.BatchMapper
-	// win caches the pipeline's windowing capability, asserted once at
-	// construction and non-nil only when the map's window is enabled, so
-	// the per-insert recenter loop is a nil check for unwindowed maps.
-	win core.Windower
-	// dur likewise caches the pipeline's durability capability (non-nil
-	// only when the map's Durable policy is enabled).
-	dur core.Durabler
+// gate is the router's one lock helper: an RWMutex that the
+// single-driver router switches off, so every method below takes its
+// locks unconditionally and the Shards == 0 map still pays for none —
+// an uncontended RLock/RUnlock pair is two atomic read-modify-writes,
+// more than the rest of a cache-hit point query.
+type gate struct {
+	mu  sync.RWMutex
+	off bool
 }
 
-// Map is a sharded occupancy map. All exported methods are safe for
-// concurrent use by any number of goroutines; consistency is per-voxel
-// sequential (each voxel's update stream is serialized by its owning
-// shard's write lock). Cross-shard snapshots (Timings, ShardStats,
-// CastRay) are composed shard-by-shard and so reflect a slightly
-// time-smeared view while producers are active — exact once quiescent.
+func (g *gate) Lock() {
+	if !g.off {
+		g.mu.Lock()
+	}
+}
+
+func (g *gate) Unlock() {
+	if !g.off {
+		g.mu.Unlock()
+	}
+}
+
+func (g *gate) RLock() {
+	if !g.off {
+		g.rlock()
+	}
+}
+
+func (g *gate) RUnlock() {
+	if !g.off {
+		g.runlock()
+	}
+}
+
+// rlock and runlock stay out of line so RLock and RUnlock fit the
+// compiler's inlining budget (the inlined RWMutex fast paths put them
+// just over it): a single-driver query then pays one predictable branch
+// per side, and a concurrent one the same single call as a direct gate
+// method would cost.
+//
+//go:noinline
+func (g *gate) rlock() { g.mu.RLock() }
+
+//go:noinline
+func (g *gate) runlock() { g.mu.RUnlock() }
+
+// shardState is one spatial partition: an engine guarded by its own
+// gate — mutators exclusive, queries shared. With PipelineAsync the
+// engine's background applier runs outside this lock entirely; the
+// engine's own tree lock and gap handshake order its octree writes
+// against queries.
+type shardState struct {
+	mu  gate
+	eng *core.Engine
+}
+
+// Map is the router. With Config.Shards ≥ 1 all exported methods are
+// safe for concurrent use by any number of goroutines; consistency is
+// per-voxel sequential (each voxel's update stream is serialized by its
+// owning shard's write lock). Cross-shard snapshots (Timings,
+// ShardStats, CastRay) are composed shard-by-shard and so reflect a
+// slightly time-smeared view while producers are active — exact once
+// quiescent. With Config.Shards == 0 the caller serializes mutators
+// against everything else, exactly as for a bare core.Engine.
 type Map struct {
-	cfg      core.Config
+	cfg      core.Config // as every engine runs it (per-shard cache budget)
 	pipeline Pipeline
 	bits     int
+	single   bool // Config.Shards == 0: gates off, Insert is the engine's
 
 	shards []*shardState
 
@@ -144,7 +204,7 @@ type Map struct {
 
 	// closeMu lets Insert run shared while Close runs exclusive, so the
 	// final flush never overlaps an in-flight insertion.
-	closeMu sync.RWMutex
+	closeMu gate
 	closed  bool
 
 	batches atomic.Int64
@@ -152,68 +212,82 @@ type Map struct {
 	critNS  atomic.Int64
 }
 
-// New creates a sharded map. The shard count is rounded up to a power of
-// two so the shard index is a Morton-prefix extraction.
-func New(cfg Config) (*Map, error) {
-	n := cfg.Shards
+// RoundShards returns the effective shard count for a requested one: the
+// next power of two, at least 1 — so the shard index is a Morton-prefix
+// extraction.
+func RoundShards(n int) int {
 	if n < 1 {
-		n = 1
+		return 1
 	}
-	if n > MaxShards {
-		return nil, fmt.Errorf("shard: Shards must be <= %d, got %d", MaxShards, cfg.Shards)
+	return 1 << bits.Len(uint(n-1))
+}
+
+// New creates a router over RoundShards(cfg.Shards) engines.
+func New(cfg Config) (*Map, error) {
+	if cfg.Shards < 0 || cfg.Shards > MaxShards {
+		return nil, fmt.Errorf("shard: Shards must be in [0, %d], got %d", MaxShards, cfg.Shards)
 	}
 	kind, err := cfg.Pipeline.kind()
 	if err != nil {
 		return nil, err
 	}
-	bits := 0
-	for 1<<bits < n {
-		bits++
-	}
-	n = 1 << bits
+	n := RoundShards(cfg.Shards)
+	single := cfg.Shards == 0
 
-	shardCfg := cfg.Core
-	if per := shardCfg.CacheBuckets / n; per >= MinShardBuckets {
-		shardCfg.CacheBuckets = per
-	} else if shardCfg.CacheBuckets > 0 {
-		shardCfg.CacheBuckets = MinShardBuckets
+	engCfg := cfg.Core
+	if !single {
+		if per := engCfg.CacheBuckets / n; per >= MinShardBuckets {
+			engCfg.CacheBuckets = per
+		} else if engCfg.CacheBuckets > 0 {
+			engCfg.CacheBuckets = MinShardBuckets
+		}
 	}
 
-	m := &Map{cfg: shardCfg, pipeline: cfg.Pipeline, bits: bits, shards: make([]*shardState, n)}
-	for i := range m.shards {
-		perShard := shardCfg
-		if perShard.Window.Enabled() || perShard.Durable.Enabled() {
+	m := &Map{
+		cfg:      engCfg,
+		pipeline: cfg.Pipeline,
+		bits:     bits.TrailingZeros(uint(n)),
+		single:   single,
+		closeMu:  gate{off: single},
+	}
+	for i := 0; i < n; i++ {
+		perShard := engCfg
+		if !single && (perShard.Window.Enabled() || perShard.Durable.Enabled()) {
 			// One log per shard: shards own disjoint key regions, so their
 			// tile sets and batch streams never collide, and per-shard logs
 			// keep each store single-writer under the shard's own lock.
-			// Recovery proceeds shard-by-shard from the same tags.
+			// Recovery proceeds shard-by-shard from the same tags. The
+			// single-driver map keeps the engine's default tag, so the two
+			// layouts stay distinguishable on disk (core.ScanDurableDir).
 			perShard.Tag = fmt.Sprintf("shard-%03d", i)
 		}
-		pipe, err := core.NewShardPipeline(kind, perShard)
+		eng, err := core.NewEngine(kind, perShard)
 		if err != nil {
+			m.Discard() // the engines already built: appliers and open logs
 			return nil, err
 		}
-		sh := &shardState{pipe: pipe}
-		if perShard.Window.Enabled() {
-			sh.win, _ = pipe.(core.Windower)
-		}
-		if perShard.Durable.Enabled() {
-			sh.dur, _ = pipe.(core.Durabler)
-		}
-		m.shards[i] = sh
+		m.shards = append(m.shards, &shardState{mu: gate{off: single}, eng: eng})
 	}
-	tracerCfg := raytrace.Config{
-		Resolution: shardCfg.Octree.Resolution,
-		Depth:      shardCfg.Octree.Depth,
-		MaxRange:   shardCfg.MaxRange,
-	}
-	m.tracers.New = func() any {
-		return raytrace.New(tracerCfg, shardCfg.Trace, shardCfg.TraceWorkers)
-	}
+	m.tracers.New = func() any { return engCfg.NewScanner() }
 	m.routes.New = func() any {
 		return &routeScratch{ends: make([]int, n)}
 	}
 	return m, nil
+}
+
+// Discard releases a live map without flushing it: every engine's
+// background work stops and its durable store closes, with no final
+// checkpoint. For constructors unwinding after a later step failed; the
+// map must not be used afterwards.
+func (m *Map) Discard() {
+	m.closeMu.Lock()
+	defer m.closeMu.Unlock()
+	m.closed = true
+	for _, sh := range m.shards {
+		sh.mu.Lock()
+		sh.eng.Discard()
+		sh.mu.Unlock()
+	}
 }
 
 // routeScratch is one producer's partition buffer: the traced batch is
@@ -265,33 +339,50 @@ func (rs *routeScratch) segment(i int) []raytrace.Voxel {
 	return rs.flat[start:rs.ends[i]:rs.ends[i]]
 }
 
-// NumShards returns the shard count (a power of two).
+// NumShards returns the engine count (a power of two; 1 for the
+// single-driver router).
 func (m *Map) NumShards() int { return len(m.shards) }
 
 // Name identifies the service for reports.
 func (m *Map) Name() string {
-	switch m.pipeline {
-	case PipelineAsync:
+	switch {
+	case m.single:
+		return m.shards[0].eng.Name()
+	case m.pipeline == PipelineAsync:
 		return fmt.Sprintf("octocache-sharded-%d-async", len(m.shards))
-	case PipelineDirect:
+	case m.pipeline == PipelineDirect:
 		return fmt.Sprintf("octomap-sharded-%d", len(m.shards))
 	default:
 		return fmt.Sprintf("octocache-sharded-%d", len(m.shards))
 	}
 }
 
-// Resolution returns the voxel edge length in meters.
-func (m *Map) Resolution() float64 { return m.cfg.Octree.Resolution }
-
+// shardFor returns the shard owning k. One engine owns everything, so
+// the N = 1 routers skip the Morton encode (and, with the encode in its
+// own function, the check inlines into the query path).
 func (m *Map) shardFor(k voxel.Key) *shardState {
+	if m.bits == 0 {
+		return m.shards[0]
+	}
+	return m.shardByPrefix(k)
+}
+
+func (m *Map) shardByPrefix(k voxel.Key) *shardState {
 	return m.shards[morton.ShardIndex(k.Morton(), m.bits)]
 }
 
-// Insert integrates one sensor scan. It is safe to call from many
-// goroutines concurrently: the scan is traced once with a pooled tracer,
-// the traced cells are routed by Morton prefix, and each shard's slice is
-// applied under that shard's write lock. Returns ErrClosed after Close.
+// Insert integrates one sensor scan. With Shards ≥ 1 it is safe to call
+// from many goroutines concurrently: the scan is traced once with a
+// pooled tracer, the traced cells are routed by Morton prefix, and each
+// shard's slice is applied under that shard's write lock. The
+// single-driver router has one caller and one engine, so the scan goes
+// straight to the engine's Insert: its own tracer, its head-eviction
+// schedule (the previous batch's octree update overlaps this batch's
+// tracing), no partition copy. Returns ErrClosed after Close.
 func (m *Map) Insert(origin geom.Vec3, points []geom.Vec3) error {
+	if m.single {
+		return m.shards[0].eng.Insert(origin, points)
+	}
 	m.closeMu.RLock()
 	defer m.closeMu.RUnlock()
 	if m.closed {
@@ -325,7 +416,7 @@ func (m *Map) Insert(origin geom.Vec3, points []geom.Vec3) error {
 		// With PipelineAsync, ApplyTraced hands the eviction batch to the
 		// shard's background applier on the way out, so the octree update
 		// overlaps the router's work on the remaining shards.
-		if e := sh.pipe.ApplyTraced(cells); e != nil && err == nil {
+		if e := sh.eng.ApplyTraced(cells); e != nil && err == nil {
 			err = e
 		}
 		sh.mu.Unlock()
@@ -339,15 +430,9 @@ func (m *Map) Insert(origin geom.Vec3, points []geom.Vec3) error {
 	// disjoint key region, so most shards evict nothing; the loop still
 	// visits all of them because a shard whose region fell behind the
 	// sensor must spill even when this scan routed it no cells.
-	for _, sh := range m.shards {
-		if sh.win == nil {
-			continue
-		}
-		sh.mu.Lock()
-		e := sh.win.Recenter(origin)
-		sh.mu.Unlock()
-		if e != nil {
-			return e
+	if m.cfg.Window.Enabled() {
+		if err := m.eachShard(func(e *core.Engine) error { return e.Recenter(origin) }); err != nil {
+			return err
 		}
 	}
 
@@ -356,22 +441,13 @@ func (m *Map) Insert(origin geom.Vec3, points []geom.Vec3) error {
 	return nil
 }
 
-// Recenter moves every shard's window to the tile containing origin and
-// evicts out-of-window tiles — the explicit form of the recentering each
-// Insert performs. A no-op on unwindowed maps. Returns ErrClosed after
-// Close and any sticky pager error.
-func (m *Map) Recenter(origin geom.Vec3) error {
-	m.closeMu.RLock()
-	defer m.closeMu.RUnlock()
-	if m.closed {
-		return ErrClosed
-	}
+// eachShard runs one engine mutator on every shard, one shard at a time
+// under that shard's write lock (so queries on the other shards keep
+// flowing), stopping at the first error.
+func (m *Map) eachShard(fn func(*core.Engine) error) error {
 	for _, sh := range m.shards {
-		if sh.win == nil {
-			continue
-		}
 		sh.mu.Lock()
-		err := sh.win.Recenter(origin)
+		err := fn(sh.eng)
 		sh.mu.Unlock()
 		if err != nil {
 			return err
@@ -380,55 +456,58 @@ func (m *Map) Recenter(origin geom.Vec3) error {
 	return nil
 }
 
-// WindowStats aggregates the per-shard paging activity; Enabled is false
-// (and everything zero) for unwindowed maps.
-func (m *Map) WindowStats() core.WindowStats {
-	var s core.WindowStats
-	for _, sh := range m.shards {
-		if sh.win == nil {
-			continue
-		}
-		sh.mu.RLock()
-		s = s.Add(sh.win.WindowStats())
-		sh.mu.RUnlock()
+// mutate is eachShard for the explicit whole-map mutators: shared with
+// Insert against Close, and ErrClosed after it.
+func (m *Map) mutate(fn func(*core.Engine) error) error {
+	m.closeMu.RLock()
+	defer m.closeMu.RUnlock()
+	if m.closed {
+		return ErrClosed
 	}
-	return s
+	return m.eachShard(fn)
 }
 
-// WindowErr returns the first shard's sticky pager error, if any.
-func (m *Map) WindowErr() error {
+// sum folds one per-engine stats snapshot over the shards, each taken
+// under its shard's read lock (which keeps mutators out, so no new
+// batches are handed off while the engine quiesces and reads).
+func sum[T interface{ Add(T) T }](m *Map, get func(*core.Engine) T) T {
+	var t T
 	for _, sh := range m.shards {
-		if sh.win == nil {
-			continue
-		}
 		sh.mu.RLock()
-		err := sh.win.WindowErr()
+		t = t.Add(get(sh.eng))
 		sh.mu.RUnlock()
-		if err != nil {
-			return err
-		}
 	}
-	return nil
+	return t
+}
+
+// Recenter moves every shard's window to the tile containing origin and
+// evicts out-of-window tiles — the explicit form of the recentering each
+// Insert performs. A no-op on unwindowed maps. Returns ErrClosed after
+// Close and any sticky pager error.
+func (m *Map) Recenter(origin geom.Vec3) error {
+	return m.mutate(func(e *core.Engine) error { return e.Recenter(origin) })
 }
 
 // Checkpoint takes a consistent-cut snapshot of every durable shard,
 // one shard at a time under that shard's write lock, retiring the WAL
 // each snapshot covers. A no-op on non-durable maps. Returns ErrClosed
 // after Close and any sticky durable error.
-func (m *Map) Checkpoint() error {
-	m.closeMu.RLock()
-	defer m.closeMu.RUnlock()
-	if m.closed {
-		return ErrClosed
-	}
+func (m *Map) Checkpoint() error { return m.mutate((*core.Engine).Checkpoint) }
+
+// Compact rebuilds every shard's octree arenas into dense Morton/DFS-
+// ordered prefixes, one shard at a time under that shard's write lock, so
+// queries on other shards keep flowing throughout. Observable map state
+// is unchanged. Returns ErrClosed after Close.
+func (m *Map) Compact() error { return m.mutate((*core.Engine).Compact) }
+
+// WindowStats aggregates the per-shard paging activity; Enabled is false
+// (and everything zero) for unwindowed maps.
+func (m *Map) WindowStats() core.WindowStats { return sum(m, (*core.Engine).WindowStats) }
+
+// WindowErr returns the first shard's sticky pager error, if any.
+func (m *Map) WindowErr() error {
 	for _, sh := range m.shards {
-		if sh.dur == nil {
-			continue
-		}
-		sh.mu.Lock()
-		err := sh.dur.Checkpoint()
-		sh.mu.Unlock()
-		if err != nil {
+		if err := sh.eng.WindowErr(); err != nil {
 			return err
 		}
 	}
@@ -439,34 +518,7 @@ func (m *Map) Checkpoint() error {
 // false (and everything zero) for non-durable maps. The sequence fields
 // report the minimum across shards — what the whole map is guaranteed
 // durable (and snapshotted) through.
-func (m *Map) DurableStats() core.DurableStats {
-	var s core.DurableStats
-	for _, sh := range m.shards {
-		if sh.dur == nil {
-			continue
-		}
-		sh.mu.RLock()
-		s = s.Add(sh.dur.DurableStats())
-		sh.mu.RUnlock()
-	}
-	return s
-}
-
-// DurableErr returns the first shard's sticky durable error, if any.
-func (m *Map) DurableErr() error {
-	for _, sh := range m.shards {
-		if sh.dur == nil {
-			continue
-		}
-		sh.mu.RLock()
-		err := sh.dur.DurableErr()
-		sh.mu.RUnlock()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (m *Map) DurableStats() core.DurableStats { return sum(m, (*core.Engine).DurableStats) }
 
 // OccupancyKey returns the accumulated log-odds of the voxel at k,
 // resolved by its owning shard (cache first, shard octree on miss). Only
@@ -475,8 +527,9 @@ func (m *Map) DurableErr() error {
 func (m *Map) OccupancyKey(k voxel.Key) (logOdds float32, known bool) {
 	sh := m.shardFor(k)
 	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.pipe.OccupancyKey(k)
+	logOdds, known = sh.eng.OccupancyKey(k)
+	sh.mu.RUnlock()
+	return logOdds, known
 }
 
 // Occupancy is the coordinate-space variant of OccupancyKey.
@@ -501,19 +554,27 @@ func (m *Map) Occupied(p geom.Vec3) bool {
 }
 
 // CastRay walks from origin along dir until it enters a known-occupied
-// voxel or exceeds maxRange. Each step queries the voxel's owning shard,
-// so the walk crosses shard boundaries transparently; voxels are sampled
-// one at a time, so a ray racing concurrent producers sees each voxel's
-// freshest state rather than one atomic snapshot of all shards.
+// voxel or exceeds maxRange. One engine walks the whole ray itself under
+// one lock acquisition. Several shards resolve each step at the voxel's
+// owning shard, so the walk crosses shard boundaries transparently;
+// voxels are sampled one at a time, so a ray racing concurrent producers
+// sees each voxel's freshest state rather than one atomic snapshot of
+// all shards.
 func (m *Map) CastRay(origin, dir geom.Vec3, maxRange float64, ignoreUnknown bool) (hit geom.Vec3, ok bool) {
+	if m.bits == 0 {
+		sh := m.shards[0]
+		sh.mu.RLock()
+		defer sh.mu.RUnlock()
+		return sh.eng.CastRay(origin, dir, maxRange, ignoreUnknown)
+	}
 	return core.CastRayKeys(m.cfg.Octree, m.OccupancyKey, origin, dir, maxRange, ignoreUnknown)
 }
 
 // Close flushes every shard's cache into its octree, stops background
 // appliers, and rejects further insertions with ErrClosed. The map
-// remains queryable. Close is idempotent and safe to call concurrently
-// with Insert: it waits for in-flight insertions to drain before
-// flushing.
+// remains queryable. Close is idempotent and, with Shards ≥ 1, safe to
+// call concurrently with Insert: it waits for in-flight insertions to
+// drain before flushing.
 func (m *Map) Close() error {
 	m.closeMu.Lock()
 	defer m.closeMu.Unlock()
@@ -521,12 +582,7 @@ func (m *Map) Close() error {
 		return nil
 	}
 	m.closed = true
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		sh.pipe.Close()
-		sh.mu.Unlock()
-	}
-	return nil
+	return m.eachShard((*core.Engine).Close)
 }
 
 // LoadSnapshot splits a whole-map snapshot across the shards, each leaf
@@ -584,108 +640,42 @@ func (m *Map) LoadSnapshot(src *core.Snapshot) error {
 func (m *Map) loadLeaf(l voxel.Leaf) error {
 	sh := m.shardFor(l.Key)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.pipe.LoadLeaf(l)
+	err := sh.eng.LoadLeaf(l)
+	sh.mu.Unlock()
+	return err
 }
 
-// Timings aggregates the per-shard stage decompositions. RayTracing,
-// Critical and Batches accrue at the router (tracing happens outside
-// shard locks); the remaining stages sum over shards, so with concurrent
-// producers the stage times represent total work, not wall clock.
+// Timings aggregates the per-shard stage decompositions. Under the
+// concurrent router RayTracing, Critical and Batches accrue here (tracing
+// happens outside shard locks) and the engines never count them; the
+// single-driver engine counts all three itself and the router's share is
+// zero — so one sum serves both. The remaining stages sum over shards, so
+// with concurrent producers the stage times represent total work, not
+// wall clock.
 func (m *Map) Timings() core.Timings {
-	var t core.Timings
-	for _, sh := range m.shards {
-		sh.mu.RLock()
-		t = t.Add(sh.pipe.Timings())
-		sh.mu.RUnlock()
-	}
-	t.Batches = m.batches.Load()
-	t.RayTracing = time.Duration(m.rayNS.Load())
-	t.Critical = time.Duration(m.critNS.Load())
+	t := sum(m, (*core.Engine).Timings)
+	t.Batches += m.batches.Load()
+	t.RayTracing += time.Duration(m.rayNS.Load())
+	t.Critical += time.Duration(m.critNS.Load())
 	return t
 }
 
-// WorkCounters sums the per-shard work counts; Batches accrues at the
-// router, like in Timings. With a single driver the snapshot is exact
-// and its cycle-to-cycle deltas deterministic, which is what lets a
-// virtual-clock mission (internal/clock) run against a sharded map.
-func (m *Map) WorkCounters() core.Counters {
-	var c core.Counters
-	for _, sh := range m.shards {
-		sh.mu.RLock()
-		sc := sh.pipe.WorkCounters()
-		sh.mu.RUnlock()
-		c.VoxelsTraced += sc.VoxelsTraced
-		c.VoxelsToOctree += sc.VoxelsToOctree
-	}
-	c.Batches = m.batches.Load()
-	return c
-}
-
 // CacheStats merges the per-shard cache counters.
-func (m *Map) CacheStats() cache.Stats {
-	var s cache.Stats
-	for _, sh := range m.shards {
-		sh.mu.RLock()
-		s = s.Add(sh.pipe.CacheStats())
-		sh.mu.RUnlock()
-	}
-	return s
-}
-
-// Compact rebuilds every shard's octree arenas into dense Morton/DFS-
-// ordered prefixes, one shard at a time under that shard's write lock, so
-// queries on other shards keep flowing throughout. Observable map state
-// is unchanged. Returns ErrClosed after Close.
-func (m *Map) Compact() error {
-	m.closeMu.RLock()
-	defer m.closeMu.RUnlock()
-	if m.closed {
-		return ErrClosed
-	}
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		err := sh.pipe.Compact()
-		sh.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (m *Map) CacheStats() cache.Stats { return sum(m, (*core.Engine).CacheStats) }
 
 // CompactionStats sums the per-shard compaction activity (automatic and
 // explicit runs alike).
-func (m *Map) CompactionStats() core.CompactionStats {
-	var s core.CompactionStats
-	for _, sh := range m.shards {
-		sh.mu.RLock()
-		s = s.Add(sh.pipe.CompactionStats())
-		sh.mu.RUnlock()
-	}
-	return s
-}
+func (m *Map) CompactionStats() core.CompactionStats { return sum(m, (*core.Engine).CompactionStats) }
 
-// ArenaStats sums the per-shard arena snapshots; each pipeline quiesces
+// ArenaStats sums the per-shard arena snapshots; each engine quiesces
 // its applier before reading, so the counters are exact per shard.
-func (m *Map) ArenaStats() core.ArenaStats {
-	var s core.ArenaStats
-	for _, sh := range m.shards {
-		sh.mu.RLock()
-		s = s.Add(sh.pipe.ArenaStats())
-		sh.mu.RUnlock()
-	}
-	return s
-}
-
-// Backend reports which voxel store backs the per-shard pipelines.
-func (m *Map) Backend() core.BackendKind { return m.cfg.Backend }
+func (m *Map) ArenaStats() core.ArenaStats { return sum(m, (*core.Engine).ArenaStats) }
 
 // ShardStat describes one shard's live state.
 type ShardStat struct {
 	// Shard is the shard index (its Morton prefix).
 	Shard int
-	// Backend identifies the voxel store behind the shard's pipeline.
+	// Backend identifies the voxel store behind the shard's engine.
 	Backend core.BackendKind
 	// Arena is the shard store's arena snapshot: live units (octree
 	// nodes or resident grid bricks), recycled free slots, total
@@ -707,29 +697,29 @@ type ShardStat struct {
 	Durable core.DurableStats
 }
 
-// ShardStats snapshots every shard. Shards are visited one at a time
-// (quiescing each shard's applier before reading its tree), so the slice
-// is exact per-shard but time-smeared across shards while producers are
-// active.
+// ShardStats snapshots every shard of the concurrent service; the
+// single-driver router is one engine, not a partition, and reports nil.
+// Shards are visited one at a time (quiescing each shard's applier
+// before reading its tree), so the slice is exact per-shard but
+// time-smeared across shards while producers are active.
 func (m *Map) ShardStats() []ShardStat {
+	if m.single {
+		return nil
+	}
 	out := make([]ShardStat, len(m.shards))
 	for i, sh := range m.shards {
 		// The read lock keeps mutators out, so no new batches can be
-		// handed off; each pipeline quiesces its applier before reading.
+		// handed off; each engine quiesces its applier before reading.
 		sh.mu.RLock()
 		out[i] = ShardStat{
 			Shard:      i,
-			Backend:    sh.pipe.Backend(),
-			Arena:      sh.pipe.ArenaStats(),
-			QueueDepth: sh.pipe.CacheLen(),
-			Cache:      sh.pipe.CacheStats(),
-			Compaction: sh.pipe.CompactionStats(),
-		}
-		if sh.win != nil {
-			out[i].Window = sh.win.WindowStats()
-		}
-		if sh.dur != nil {
-			out[i].Durable = sh.dur.DurableStats()
+			Backend:    m.cfg.Backend,
+			Arena:      sh.eng.ArenaStats(),
+			QueueDepth: sh.eng.CacheLen(),
+			Cache:      sh.eng.CacheStats(),
+			Compaction: sh.eng.CompactionStats(),
+			Window:     sh.eng.WindowStats(),
+			Durable:    sh.eng.DurableStats(),
 		}
 		sh.mu.RUnlock()
 	}
@@ -747,7 +737,7 @@ func (m *Map) Snapshot() *core.Snapshot {
 	dst := core.NewSnapshot(m.cfg.Octree)
 	for _, sh := range m.shards {
 		sh.mu.RLock()
-		sh.pipe.WalkLeaves(func(l voxel.Leaf) bool {
+		sh.eng.WalkLeaves(func(l voxel.Leaf) bool {
 			dst.Add(l)
 			return true
 		})
@@ -756,12 +746,21 @@ func (m *Map) Snapshot() *core.Snapshot {
 	return dst
 }
 
-// WriteTo serializes the merged map in the .bt format. Bytes are
-// identical across shard counts and backends for content-equal maps —
-// and across window policies: each shard's walk folds its spilled tiles
-// back in. A shard whose spill file failed to read surfaces its sticky
-// pager error here instead of serializing a partial map.
+// WriteTo serializes the map in the .bt format. Bytes are identical
+// across shard counts and backends for content-equal maps — and across
+// window policies: each shard's walk folds its spilled tiles back in.
+// One engine serializes itself under one lock acquisition (streaming its
+// store in place when nothing is parked in the cache); several shards
+// merge through Snapshot. A shard whose spill file failed to read
+// surfaces its sticky pager error here instead of serializing a partial
+// map.
 func (m *Map) WriteTo(w io.Writer) (int64, error) {
+	if m.bits == 0 {
+		sh := m.shards[0]
+		sh.mu.RLock()
+		defer sh.mu.RUnlock()
+		return sh.eng.WriteTo(w)
+	}
 	snap := m.Snapshot()
 	if err := m.WindowErr(); err != nil {
 		return 0, err

@@ -36,7 +36,10 @@ func scanArc(center geom.Vec3, radius float64, n int, phase float64) []geom.Vec3
 // interleaved insert/query stream, at every point in the stream.
 func TestShardedMatchesSerial(t *testing.T) {
 	for _, shards := range []int{1, 2, 8} {
-		ref := core.MustNew(core.KindSerial, testConfig())
+		ref, err := core.NewEngine(core.KindSerial, testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
 		sm, err := New(Config{Core: testConfig(), Shards: shards})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
@@ -400,7 +403,7 @@ func TestLoadTreeRoutesToOwningShards(t *testing.T) {
 			}
 			// Every leaf of every shard's tree must belong to that shard.
 			for i, sh := range sm.shards {
-				sh.pipe.WalkLeaves(func(l voxel.Leaf) bool {
+				sh.eng.WalkLeaves(func(l voxel.Leaf) bool {
 					if owner := sm.shards[morton.ShardIndex(l.Key.Morton(), sm.bits)]; owner != sh {
 						t.Errorf("shards=%d: shard %d holds leaf %v owned elsewhere", shards, i, l.Key)
 						return false

@@ -29,40 +29,44 @@
 //
 // # Concurrent use
 //
-// By default a Map must be driven from one goroutine (ModeParallel
-// manages its own background worker internally). Setting Options.Shards
-// to 1 or more turns the Map into a sharded concurrent service: space is
-// partitioned across that many independent OctoCache pipelines keyed by
-// the top bits of each voxel's Morton code, every method becomes safe
-// for concurrent use by any number of goroutines, and Insert calls from
-// distinct producers contend only when their scans land on the same
-// shard. Queries contend only on the shard that owns the queried voxel.
+// Every Map is one router over N ≥ 1 engines — N independent OctoCache
+// pipelines, each owning the voxels whose Morton code carries its prefix
+// — and Options.Shards picks both N and who provides the exclusion:
 //
-// Mode composes with Shards (it is no longer ignored when Shards >= 1):
-// every shard runs the selected pipeline, so ModeParallel — the default
-// — gives each shard its own background octree applier and SPSC buffer,
-// the paper's two-thread schedule replicated per shard. Shard locking is
-// read/write: queries share a shard's read lock, and a query answered
-// from the shard's cache touches no lock shared with octree writers at
-// all.
+//   - Shards == 0 (the default) is the single-driver map: one engine,
+//     with the router's locks elided. Drive it from one goroutine
+//     (ModeParallel manages its own background worker internally); in
+//     exchange a query costs exactly what it costs on the bare engine.
+//   - Shards >= 1 is the sharded concurrent service: that many engines
+//     (rounded up to a power of two), every method safe for concurrent
+//     use by any number of goroutines. Insert calls from distinct
+//     producers contend only when their scans land on the same shard,
+//     and queries contend only on the shard that owns the queried voxel.
+//     A 1-shard map is the locked form of the single-driver one.
 //
-// Sharded maps answer queries bit-identical to the single-driver
-// pipelines when driven sequentially; under concurrent producers each
-// voxel's update stream is serialized by its owning shard, so per-voxel
-// results remain exact while cross-voxel snapshots are only as atomic
-// as the caller's own synchronization.
+// Mode composes with Shards: every engine runs the selected pipeline, so
+// ModeParallel — the default — gives each shard its own background
+// octree applier and SPSC buffer, the paper's two-thread schedule
+// replicated per shard. Shard locking is read/write: queries share a
+// shard's read lock, and a query answered from the shard's cache touches
+// no lock shared with octree writers at all.
 //
-// The public API wraps internal/core and internal/shard; the substrate
-// packages (octree, cache, Morton codes, ray tracing, simulation stack)
-// live under internal/ and are exercised through the examples, the cmd/
-// tools, and the benchmark harness that regenerates the paper's
-// evaluation.
+// Answers do not depend on N: every shard count is bit-identical to the
+// serial pipeline when driven sequentially; under concurrent producers
+// each voxel's update stream is serialized by its owning shard, so
+// per-voxel results remain exact while cross-voxel snapshots are only as
+// atomic as the caller's own synchronization.
+//
+// The public API wraps internal/shard (the router) over internal/core
+// (the engine); the substrate packages (octree, cache, Morton codes, ray
+// tracing, simulation stack) live under internal/ and are exercised
+// through the examples, the cmd/ tools, and the benchmark harness that
+// regenerates the paper's evaluation.
 package octocache
 
 import (
 	"fmt"
 	"io"
-	"sync/atomic"
 	"time"
 
 	"octocache/internal/cache"
@@ -214,8 +218,8 @@ type Options struct {
 	// independent pipelines (rounded up to a power of two, at most
 	// MaxShards) and makes the Map safe for concurrent use — see the
 	// package documentation's "Concurrent use" section. A 1-shard map
-	// is still concurrency-safe; 0 selects the classic single-driver
-	// pipelines.
+	// is still concurrency-safe; 0 selects the single-driver map: one
+	// engine, no locks, one calling goroutine.
 	Shards int
 	// MaxRange truncates sensor rays beyond this distance in meters;
 	// 0 disables truncation.
@@ -288,11 +292,10 @@ const MaxShards = shard.MaxShards
 // (ModeParallel manages its own background worker internally); with
 // Shards >= 1 all methods are safe for concurrent use.
 type Map struct {
-	// Exactly one of mapper/sharded is non-nil.
-	mapper  core.Mapper
-	sharded *shard.Map
-	cfg     core.Config
-	closed  atomic.Bool // single-driver lifecycle; sharded tracks its own
+	// router owns the map's engines: one, caller-serialized, when
+	// Options.Shards == 0; a locked partition of N otherwise.
+	router *shard.Map
+	cfg    core.Config
 }
 
 // New creates a Map, validating the options. Invalid options — a missing
@@ -317,8 +320,8 @@ func MustNew(opts Options) *Map {
 }
 
 // Open reads a map serialized with WriteTo and makes it live again: the
-// loaded contents are replayed into the pipeline's (or, sharded, each
-// owning shard's) backing store — whichever backend the options select,
+// loaded contents are replayed into each owning engine's backing store —
+// whichever backend the options select,
 // regardless of which backend wrote the stream. The stream's parameters
 // (resolution, tree depth, sensor model) are authoritative;
 // Options.Resolution is ignored. The remaining options — Mode, Shards,
@@ -340,26 +343,16 @@ func Open(r io.Reader, opts Options) (*Map, error) {
 	if err != nil {
 		return nil, err
 	}
-	if m.sharded != nil {
-		if err := m.sharded.LoadSnapshot(src); err != nil {
-			return nil, err
-		}
-	} else {
-		loader, ok := m.mapper.(interface{ LoadSnapshot(*core.Snapshot) error })
-		if !ok {
-			return nil, fmt.Errorf("octocache: pipeline %s does not support loading", m.mapper.Name())
-		}
-		if err := loader.LoadSnapshot(src); err != nil {
-			return nil, err
-		}
-	}
-	if opts.Durable.Enabled() {
+	err = m.router.LoadSnapshot(src)
+	if err == nil && opts.Durable.Enabled() {
 		// Loaded leaves bypass the WAL, so checkpoint now: without a
 		// snapshot covering the load, a crash before the first explicit
 		// Checkpoint would recover an empty map.
-		if err := m.Checkpoint(); err != nil {
-			return nil, err
-		}
+		err = m.Checkpoint()
+	}
+	if err != nil {
+		m.router.Discard() // nobody else will stop its appliers or close its logs
+		return nil, err
 	}
 	return m, nil
 }
@@ -396,11 +389,7 @@ func Recover(dir string, opts Options) (*Map, error) {
 		if opts.Shards < 1 {
 			return nil, fmt.Errorf("octocache: %s holds a %d-shard map; Recover with Shards >= 1", dir, shardLogs)
 		}
-		want := 1
-		for want < opts.Shards {
-			want <<= 1
-		}
-		if want != shardLogs {
+		if want := shard.RoundShards(opts.Shards); want != shardLogs {
 			return nil, fmt.Errorf("octocache: %s holds a %d-shard map, options ask for %d shards", dir, shardLogs, want)
 		}
 	}
@@ -470,35 +459,20 @@ func buildConfig(opts Options) (core.Config, error) {
 	return cfg, nil
 }
 
-// newMap assembles the pipeline (or sharded service) the options select.
+// newMap assembles the router the options select.
 func newMap(opts Options, cfg core.Config) (*Map, error) {
-	if opts.Shards >= 1 {
-		pl := shard.PipelineAsync
-		switch opts.Mode {
-		case ModeSerial:
-			pl = shard.PipelineSerial
-		case ModeOctoMap:
-			pl = shard.PipelineDirect
-		}
-		sm, err := shard.New(shard.Config{Core: cfg, Shards: opts.Shards, Pipeline: pl})
-		if err != nil {
-			return nil, err
-		}
-		return &Map{sharded: sm, cfg: cfg}, nil
-	}
-
-	kind := core.KindParallel
+	pl := shard.PipelineAsync
 	switch opts.Mode {
-	case ModeOctoMap:
-		kind = core.KindOctoMap
 	case ModeSerial:
-		kind = core.KindSerial
+		pl = shard.PipelineSerial
+	case ModeOctoMap:
+		pl = shard.PipelineDirect
 	}
-	mapper, err := core.New(kind, cfg)
+	router, err := shard.New(shard.Config{Core: cfg, Shards: opts.Shards, Pipeline: pl})
 	if err != nil {
 		return nil, err
 	}
-	return &Map{mapper: mapper, cfg: cfg}, nil
+	return &Map{router: router, cfg: cfg}, nil
 }
 
 // Insert integrates one sensor scan: points (world coordinates) observed
@@ -507,54 +481,23 @@ func newMap(opts Options, cfg core.Config) (*Map, error) {
 // ErrClosed after Close; sharded maps accept concurrent Insert calls
 // from any number of goroutines.
 func (m *Map) Insert(origin Vec3, points []Vec3) error {
-	if m.sharded != nil {
-		return m.sharded.Insert(origin, points)
-	}
-	if m.closed.Load() {
-		return ErrClosed
-	}
-	return m.mapper.Insert(origin, points)
+	return m.router.Insert(origin, points)
 }
 
 // Occupied reports whether the voxel containing p is known and occupied.
-func (m *Map) Occupied(p Vec3) bool {
-	if m.sharded != nil {
-		return m.sharded.Occupied(p)
-	}
-	return m.mapper.Occupied(p)
-}
+func (m *Map) Occupied(p Vec3) bool { return m.router.Occupied(p) }
 
 // Occupancy returns the voxel's accumulated log-odds occupancy; known is
 // false for never-observed voxels. Use Probability to convert.
-func (m *Map) Occupancy(p Vec3) (logOdds float32, known bool) {
-	if m.sharded != nil {
-		return m.sharded.Occupancy(p)
-	}
-	return m.mapper.Occupancy(p)
-}
+func (m *Map) Occupancy(p Vec3) (logOdds float32, known bool) { return m.router.Occupancy(p) }
 
 // OccupiedKey is the key-space variant of Occupied, for planners that
 // discretize once and probe many voxels.
-func (m *Map) OccupiedKey(k Key) bool {
-	if m.sharded != nil {
-		return m.sharded.OccupiedKey(k)
-	}
-	return m.mapper.OccupiedKey(k)
-}
+func (m *Map) OccupiedKey(k Key) bool { return m.router.OccupiedKey(k) }
 
 // OccupancyKey is the key-space variant of Occupancy, for consumers
 // that discretize once and probe many voxels.
-func (m *Map) OccupancyKey(k Key) (logOdds float32, known bool) {
-	if m.sharded != nil {
-		return m.sharded.OccupancyKey(k)
-	}
-	if kq, ok := m.mapper.(interface {
-		OccupancyKey(voxel.Key) (float32, bool)
-	}); ok {
-		return kq.OccupancyKey(k)
-	}
-	return m.mapper.Occupancy(m.KeyToCoord(k))
-}
+func (m *Map) OccupancyKey(k Key) (logOdds float32, known bool) { return m.router.OccupancyKey(k) }
 
 // CellState is one voxel's occupancy answer in a batched query: the
 // accumulated log-odds and whether the voxel has ever been observed.
@@ -596,10 +539,7 @@ func (m *Map) KeyToCoord(k Key) Vec3 {
 // true and terminates the ray otherwise. Results reflect the freshest
 // combined cache+octree state, like point queries.
 func (m *Map) CastRay(origin, dir Vec3, maxRange float64, ignoreUnknown bool) (hit Vec3, ok bool) {
-	if m.sharded != nil {
-		return m.sharded.CastRay(origin, dir, maxRange, ignoreUnknown)
-	}
-	return m.mapper.CastRay(origin, dir, maxRange, ignoreUnknown)
+	return m.router.CastRay(origin, dir, maxRange, ignoreUnknown)
 }
 
 // Probability converts a log-odds occupancy to a probability in (0, 1).
@@ -623,26 +563,13 @@ func (m *Map) Backend() Backend { return m.cfg.Backend }
 
 // Shards returns the effective shard count: 1 for single-driver maps,
 // the rounded-up power of two otherwise.
-func (m *Map) Shards() int {
-	if m.sharded != nil {
-		return m.sharded.NumShards()
-	}
-	return 1
-}
+func (m *Map) Shards() int { return m.router.NumShards() }
 
 // Close flushes all cached voxels into the octree and stops background
 // work. The Map remains queryable; further Insert calls return
 // ErrClosed. Close is idempotent and never fails; it returns an error
 // only to satisfy io.Closer-style call sites.
-func (m *Map) Close() error {
-	if m.sharded != nil {
-		return m.sharded.Close()
-	}
-	if !m.closed.Swap(true) {
-		m.mapper.Close()
-	}
-	return nil
-}
+func (m *Map) Close() error { return m.router.Close() }
 
 // WriteTo serializes the map, including updates still resident in the
 // voxel cache; sharded maps are merged into one canonical snapshot
@@ -651,12 +578,7 @@ func (m *Map) Close() error {
 // so a stream written by any configuration Opens under any other.
 // Serializing after Close is cheapest (the flushed octree streams in
 // place); a live map goes through the snapshot rebuild.
-func (m *Map) WriteTo(w io.Writer) (int64, error) {
-	if m.sharded != nil {
-		return m.sharded.WriteTo(w)
-	}
-	return m.mapper.WriteTo(w)
-}
+func (m *Map) WriteTo(w io.Writer) (int64, error) { return m.router.WriteTo(w) }
 
 // Snapshot captures the map's current contents as a canonical,
 // backend-neutral snapshot — for serialization, diffing, and read-only
@@ -664,12 +586,7 @@ func (m *Map) WriteTo(w io.Writer) (int64, error) {
 // moment of capture: updates still resident in the voxel cache are
 // folded in. Single-driver maps treat Snapshot as a mutator call, like
 // Insert; sharded maps may call it from any goroutine.
-func (m *Map) Snapshot() *Snapshot {
-	if m.sharded != nil {
-		return m.sharded.Snapshot()
-	}
-	return m.mapper.Snapshot()
-}
+func (m *Map) Snapshot() *Snapshot { return m.router.Snapshot() }
 
 // WalkLeaves visits every leaf of the map's canonical snapshot in
 // ascending Morton order. It carries Snapshot's caveats.
@@ -682,18 +599,7 @@ func (m *Map) WalkLeaves(fn func(Leaf) bool) { m.Snapshot().Walk(fn) }
 // Sharded maps recenter every shard. Like Insert it is a mutator call on
 // single-driver maps; it returns ErrClosed after Close and any sticky
 // pager error (see ErrPager).
-func (m *Map) Recenter(origin Vec3) error {
-	if m.sharded != nil {
-		return m.sharded.Recenter(origin)
-	}
-	if m.closed.Load() {
-		return ErrClosed
-	}
-	if w, ok := m.mapper.(core.Windower); ok {
-		return w.Recenter(origin)
-	}
-	return nil
-}
+func (m *Map) Recenter(origin Vec3) error { return m.router.Recenter(origin) }
 
 // Checkpoint takes a consistent-cut snapshot of a durable map now,
 // retiring the write-ahead log it covers — for services that want a
@@ -702,18 +608,7 @@ func (m *Map) Recenter(origin Vec3) error {
 // shard's write lock. A no-op on non-durable maps; single-driver maps
 // treat it as a mutator call, like Insert. Returns ErrClosed after
 // Close and any sticky durable error (see ErrDurable).
-func (m *Map) Checkpoint() error {
-	if m.sharded != nil {
-		return m.sharded.Checkpoint()
-	}
-	if m.closed.Load() {
-		return ErrClosed
-	}
-	if d, ok := m.mapper.(core.Durabler); ok {
-		return d.Checkpoint()
-	}
-	return nil
-}
+func (m *Map) Checkpoint() error { return m.router.Checkpoint() }
 
 // Compact rebuilds the octree arenas into dense Morton-ordered prefixes
 // and releases the fragmented tail capacity, without changing any query
@@ -722,15 +617,7 @@ func (m *Map) Checkpoint() error {
 // single-driver maps treat Compact as a mutator call, like Insert.
 // Automatic compaction (Options.Compaction) runs the same rebuild behind
 // each batch. Returns ErrClosed after Close.
-func (m *Map) Compact() error {
-	if m.sharded != nil {
-		return m.sharded.Compact()
-	}
-	if m.closed.Load() {
-		return ErrClosed
-	}
-	return m.mapper.Compact()
-}
+func (m *Map) Compact() error { return m.router.Compact() }
 
 // Stats reports map behaviour counters, grouped by subsystem. The
 // struct marshals to a stable JSON encoding (the json tags below are
@@ -843,46 +730,21 @@ func publicCache(c cache.Stats) CacheStats {
 // call it between insertions or after Close; sharded maps may call it
 // at any time from any goroutine.
 func (m *Map) Stats() Stats {
-	if m.sharded != nil {
-		tm := m.sharded.Timings()
-		return Stats{
-			Cache: publicCache(m.sharded.CacheStats()),
-			Pipeline: PipelineStats{
-				Batches:        tm.Batches,
-				VoxelsTraced:   tm.VoxelsTraced,
-				VoxelsToOctree: tm.VoxelsToOctree,
-			},
-			Arena:      publicArena(m.sharded.ArenaStats()),
-			Compaction: publicCompaction(m.sharded.CompactionStats()),
-			Shards:     m.sharded.NumShards(),
-			Backend:    m.sharded.Backend(),
-			Window:     m.sharded.WindowStats(),
-			Durable:    m.sharded.DurableStats(),
-		}
-	}
-	tm := m.mapper.Timings()
-	var ws WindowStats
-	if w, ok := m.mapper.(core.Windower); ok {
-		ws = w.WindowStats()
-	}
-	var ds DurableStats
-	if d, ok := m.mapper.(core.Durabler); ok {
-		ds = d.DurableStats()
-	}
+	tm := m.router.Timings()
 	return Stats{
-		Cache: publicCache(m.mapper.CacheStats()),
+		Cache: publicCache(m.router.CacheStats()),
 		Pipeline: PipelineStats{
 			Batches:        tm.Batches,
 			VoxelsTraced:   tm.VoxelsTraced,
 			VoxelsToOctree: tm.VoxelsToOctree,
 		},
-		// ArenaStats drains the background applier before reading.
-		Arena:      publicArena(m.mapper.ArenaStats()),
-		Compaction: publicCompaction(m.mapper.CompactionStats()),
-		Shards:     1,
-		Backend:    m.mapper.Backend(),
-		Window:     ws,
-		Durable:    ds,
+		// ArenaStats drains the background appliers before reading.
+		Arena:      publicArena(m.router.ArenaStats()),
+		Compaction: publicCompaction(m.router.CompactionStats()),
+		Shards:     m.router.NumShards(),
+		Backend:    m.cfg.Backend,
+		Window:     m.router.WindowStats(),
+		Durable:    m.router.DurableStats(),
 	}
 }
 
@@ -913,10 +775,10 @@ type ShardStat struct {
 // ShardStats snapshots every shard of a sharded map; it returns nil for
 // single-driver maps.
 func (m *Map) ShardStats() []ShardStat {
-	if m.sharded == nil {
+	raw := m.router.ShardStats()
+	if raw == nil {
 		return nil
 	}
-	raw := m.sharded.ShardStats()
 	out := make([]ShardStat, len(raw))
 	for i, s := range raw {
 		out[i] = ShardStat{

@@ -2,6 +2,7 @@ package octocache
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -453,5 +454,37 @@ func TestModeComposesWithShards(t *testing.T) {
 	ref.Close()
 	for _, m := range maps {
 		m.Close()
+	}
+}
+
+// TestInsertSteadyStateAllocs lifts internal/core's allocation gate to
+// the public entry point, on both sides of the single-driver choice:
+// Shards 0 reaches the engine's own Insert through the router, Shards 1
+// goes through the router's pooled tracer and partition scratch. Neither
+// may add per-scan allocation once warm (the slack absorbs runtime
+// noise and a sync.Pool refill after a GC cycle).
+func TestInsertSteadyStateAllocs(t *testing.T) {
+	for _, mode := range []Mode{ModeSerial, ModeOctoMap} {
+		for _, shards := range []int{0, 1} {
+			t.Run(fmt.Sprintf("mode=%v/shards=%d", mode, shards), func(t *testing.T) {
+				m := MustNew(Options{Resolution: 0.1, Mode: mode, Shards: shards, CacheBuckets: 1 << 8, CacheTau: 2})
+				defer m.Close()
+				origin := V(0.5, 0.5, 1)
+				scan := scanRing(origin, 2.5, 200)
+				for i := 0; i < 50; i++ { // warm every buffer and saturate values
+					if err := m.Insert(origin, scan); err != nil {
+						t.Fatal(err)
+					}
+				}
+				avg := testing.AllocsPerRun(20, func() {
+					if err := m.Insert(origin, scan); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if avg > 2 {
+					t.Errorf("steady-state Insert allocates %.1f times per scan; want ~0", avg)
+				}
+			})
+		}
 	}
 }
